@@ -15,6 +15,7 @@ from .abelian_coulomb import (
     sdual_torus,
     structure_constant_table,
     structure_exponents,
+    structure_factor,
 )
 from .brane import (
     BraneDiagram,
@@ -41,7 +42,6 @@ from .exactalg import (
 )
 from .partitions import (
     InconsistentChainError,
-    OrbitDescriptor,
     Partition,
     centralizer_dim,
     chain_to_orbit,

@@ -247,6 +247,12 @@ def structure_exponents(theory: TorusTheory, lam: Sequence[int], mu: Sequence[in
     return tuple(out)
 
 
+def structure_factor(theory: TorusTheory, lam: Sequence[int], mu: Sequence[int]) -> Polynomial:
+    """The structure constant prod_j a_j(w)^{d_j} of r[lam] * r[mu]."""
+    exponents = structure_exponents(theory, lam, mu)
+    return eval_product(list(zip(theory.linear_weights, exponents)), rank=theory.rank)
+
+
 def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> CoulombElement:
     """Convolution product, extended bilinearly from the basis classes."""
     if x.theory != theory or y.theory != theory:
@@ -254,12 +260,8 @@ def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> Coulo
     acc: dict[Cochar, Polynomial] = {}
     for lam, p in x.support.items():
         for mu, q in y.support.items():
-            exponents = structure_exponents(theory, lam, mu)
-            factor = eval_product(
-                list(zip(theory.linear_weights, exponents)), rank=theory.rank
-            )
             key = tuple(a + b for a, b in zip(lam, mu))
-            term = p * q * factor
+            term = p * q * structure_factor(theory, lam, mu)
             acc[key] = acc.get(key, Polynomial.zero(theory.rank)) + term
     return CoulombElement(theory, acc)
 
@@ -435,9 +437,7 @@ def structure_constant_table(
     table = []
     for lam in box:
         for mu in box:
-            exponents = structure_exponents(theory, lam, mu)
-            factor = eval_product(list(zip(theory.linear_weights, exponents)), rank=theory.rank)
-            table.append((lam, mu, factor))
+            table.append((lam, mu, structure_factor(theory, lam, mu)))
     return table
 
 

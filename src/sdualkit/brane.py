@@ -249,8 +249,8 @@ def expected_space(d: BraneDiagram) -> spaces.SpaceDescriptor:
     if d.branes and all(b == NS5 for b in d.branes):
         if d.dims[0] != 0:
             raise UnsupportedDiagramError("all-o chains must start at dimension 0")
-        orbit = chain_to_orbit(d.dims)
-        return spaces.SpaceDescriptor.orbit_closure(orbit.n, orbit.jordan_type)
+        lam = chain_to_orbit(d.dims)
+        return spaces.SpaceDescriptor.orbit_closure(lam.n, lam)
     raise UnsupportedDiagramError(
         "only single building blocks and all-o chains have a space reading"
     )

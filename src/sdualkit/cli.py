@@ -136,17 +136,18 @@ def _cmd_orbit(args) -> int:
     if args.action == "chain":
         text = ",".join(args.args)
         dims = [int(tok) for tok in text.replace(",", " ").split()]
-        orbit = chain_to_orbit(dims)
+        # The orbit-closure reading, printed even where it is a point (all parts 1).
+        lam = chain_to_orbit(dims)
         if args.json:
             payload = {
-                "n": orbit.n,
-                "jordan_type": list(orbit.jordan_type.parts),
-                "kind": orbit.kind,
-                "dim": orbit.dim,
+                "n": lam.n,
+                "jordan_type": list(lam.parts),
+                "kind": "orbit_closure",
+                "dim": orbit_dim(lam),
             }
             print(json.dumps(payload, sort_keys=True))
         else:
-            print(str(orbit))
+            print(f"{spaces.orbit_closure_text(lam)}  (dim {orbit_dim(lam)})")
         return 0
     if len(args.args) != 1:
         raise ValueError(f"usage: orbit {args.action} <partition>")

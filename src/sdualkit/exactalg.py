@@ -183,12 +183,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.rank, frozenset(self.terms.items())))
 
-    def total_degree(self):
-        """Maximal total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if inhomogeneous or zero."""
         degrees = {sum(e) for e in self.terms}
@@ -289,11 +283,6 @@ class IntegerMatrix:
         elif cols is None:
             raise ValueError("column count required for a matrix with no rows")
         return cls(len(rows), cols, rows)
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.cols:
-            raise RankMismatchError(f"vector length {len(vector)} != cols {self.cols}")
-        return tuple(sum(r[j] * vector[j] for j in range(self.cols)) for r in self.entries)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -65,9 +65,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)!r})"
 
-    def transpose(self) -> "Partition":
-        return transpose(self)
-
 
 def _as_partition(lam) -> Partition:
     return lam if isinstance(lam, Partition) else Partition(lam)
@@ -139,64 +136,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + rest.parts)
 
 
-class OrbitDescriptor:
-    """A nilpotent-orbit datum in gl_n: matrix size, Jordan type, and kind."""
-
-    __slots__ = ("n", "jordan_type", "kind")
-
-    KINDS = ("orbit_closure", "slice", "group_times_slice")
-
-    def __init__(self, n: int, jordan_type, kind: str = "orbit_closure"):
-        self.n = int(n)
-        self.jordan_type = _as_partition(jordan_type)
-        if self.jordan_type.n != self.n:
-            raise ValueError(f"Jordan type {self.jordan_type} is not a partition of {self.n}")
-        if kind == "nilpotent_cone":
-            # The nilpotent cone is the closure of the regular orbit.
-            if self.jordan_type != Partition((self.n,)) and self.n > 0:
-                raise ValueError("nilpotent cone must have Jordan type (n)")
-            kind = "orbit_closure"
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown orbit kind {kind!r}")
-        self.kind = kind
-
-    @classmethod
-    def nilpotent_cone(cls, n: int) -> "OrbitDescriptor":
-        return cls(n, Partition((n,) if n else ()), "orbit_closure")
-
-    @property
-    def is_nilpotent_cone(self) -> bool:
-        return self.kind == "orbit_closure" and self.jordan_type == Partition((self.n,) if self.n else ())
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "orbit_closure":
-            return orbit_dim(self.jordan_type)
-        if self.kind == "slice":
-            return centralizer_dim(self.jordan_type)
-        return self.n * self.n + centralizer_dim(self.jordan_type)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrbitDescriptor)
-            and (self.n, self.jordan_type, self.kind) == (other.n, other.jordan_type, other.kind)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.jordan_type, self.kind))
-
-    def __str__(self) -> str:
-        if self.kind == "orbit_closure":
-            return f"OrbitClosure{self.jordan_type} in gl({self.n})  (dim {self.dim})"
-        if self.kind == "slice":
-            return f"Slice{self.jordan_type} in gl({self.n})  (dim {self.dim})"
-        return f"GL({self.n}) x Slice{self.jordan_type}  (dim {self.dim})"
-
-    def __repr__(self) -> str:
-        return f"OrbitDescriptor({self.n}, {self.jordan_type!r}, {self.kind!r})"
-
-
-def chain_to_orbit(dims: Sequence[int]) -> OrbitDescriptor:
+def chain_to_orbit(dims: Sequence[int]) -> Partition:
     """Jordan type of the generic composite along a dimension chain.
 
     For a chain v_0 = 0 <= ... <= v_n, the composite endomorphism x of C^{v_n}
@@ -220,7 +160,7 @@ def chain_to_orbit(dims: Sequence[int]) -> OrbitDescriptor:
         and all(d >= 0 for d in deltas)
         and all(deltas[i] >= deltas[i + 1] for i in range(len(deltas) - 1))
     ):
-        return OrbitDescriptor(target, transpose(Partition(d for d in deltas if d)))
+        return transpose(Partition(d for d in deltas if d))
     feasible = [
         p
         for p in partitions_of(target)
@@ -231,7 +171,7 @@ def chain_to_orbit(dims: Sequence[int]) -> OrbitDescriptor:
     maximal = [p for p in feasible if all(q == p or dominates(p, q) for q in feasible)]
     if len(maximal) != 1:
         raise InconsistentChainError(f"chain {list(dims)} has no dominance-maximal Jordan type")
-    return OrbitDescriptor(target, maximal[0])
+    return maximal[0]
 
 
 def _jordan_matrix(lam: Partition) -> IntegerMatrix:

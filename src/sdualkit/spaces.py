@@ -87,9 +87,6 @@ class GroupDescriptor:
     def is_trivial(self) -> bool:
         return self.dim == 0
 
-    def dual(self) -> "GroupDescriptor":
-        return self
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupDescriptor)
@@ -142,18 +139,34 @@ class SpaceDescriptor:
     ``possibly_singular`` is set.
     """
 
-    KINDS = (
-        "point",
-        "cotangent_of_rep",
-        "cotangent_of_group",
-        "group_times_slice",
-        "orbit_closure",
-        "type_A_singularity",
-        "torus_cotangent",
-        "product",
-        "coulomb_branch",
-        "reduced",
-    )
+    # Per kind: the public constructor that rebuilds it, and its payload as
+    # (attribute, JSON key, constructor argument) triples; an argument of None
+    # marks a value the constructor derives. Every kind also carries dim,
+    # left_group, right_group and the FLAGS. to_json, from_json and _key all
+    # read this table.
+    FIELDS = {
+        "point": ("point", ()),
+        "cotangent_of_rep": (
+            "cotangent_of_rep",
+            (("rep_dims", "dims", "dims"), ("theory", "theory", "theory")),
+        ),
+        "cotangent_of_group": ("cotangent_of_group", (("group", "group", "g"),)),
+        "group_times_slice": (
+            "group_times_slice",
+            (("group", "group", "g"), ("partition", "partition", "lam")),
+        ),
+        "orbit_closure": (
+            "orbit_closure",
+            (("group", "group", None), ("partition", "partition", "lam"), ("size", "n", "n")),
+        ),
+        "type_A_singularity": ("type_a_singularity", (("index", "index", "index"),)),
+        "torus_cotangent": ("torus_cotangent", (("size", "rank", "r"),)),
+        "product": ("product_space", (("factors", "factors", "factors"),)),
+        "coulomb_branch": ("coulomb_branch", (("theory", "theory", "theory"),)),
+        "reduced": ("reduced", (("dim", "dim", "dim"),)),
+    }
+    KINDS = tuple(FIELDS)
+    FLAGS = ("conjecture", "possibly_singular", "right_twisted")
 
     __slots__ = (
         "kind",
@@ -189,7 +202,7 @@ class SpaceDescriptor:
         possibly_singular: bool = False,
         right_twisted: bool = False,
     ):
-        if kind not in self.KINDS:
+        if kind not in self.FIELDS:
             raise ValueError(f"unknown space kind {kind!r}")
         self.kind = kind
         self.dim = int(dim)
@@ -211,20 +224,34 @@ class SpaceDescriptor:
     @classmethod
     def point(
         cls,
-        group: GroupDescriptor = _TRIVIAL,
+        left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
         conjecture: bool = False,
     ) -> "SpaceDescriptor":
-        return cls("point", 0, left_group=group, right_group=right_group, conjecture=conjecture)
+        return cls(
+            "point", 0, left_group=left_group, right_group=right_group, conjecture=conjecture
+        )
 
     @classmethod
     def torus_cotangent(
-        cls, r: int, left_group: GroupDescriptor | None = None, conjecture: bool = False
+        cls,
+        r: int,
+        left_group: GroupDescriptor | None = None,
+        right_group: GroupDescriptor = _TRIVIAL,
+        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         if r == 0:
-            return cls.point(left_group if left_group is not None else _TRIVIAL)
+            left = left_group if left_group is not None else _TRIVIAL
+            return cls.point(left, right_group=right_group, conjecture=conjecture)
         left = left_group if left_group is not None else GroupDescriptor.torus(r)
-        return cls("torus_cotangent", 2 * r, left_group=left, size=r, conjecture=conjecture)
+        return cls(
+            "torus_cotangent",
+            2 * r,
+            left_group=left,
+            right_group=right_group,
+            size=r,
+            conjecture=conjecture,
+        )
 
     @classmethod
     def cotangent_of_group(
@@ -235,7 +262,9 @@ class SpaceDescriptor:
         conjecture: bool = False,
     ) -> "SpaceDescriptor":
         if g.kind == "torus":
-            return cls.torus_cotangent(g.size, left_group=left_group, conjecture=conjecture)
+            return cls.torus_cotangent(
+                g.size, left_group=left_group, right_group=right_group, conjecture=conjecture
+            )
         if g.kind != "gl":
             raise ValueError("cotangent_of_group supports torus and gl groups")
         left = left_group if left_group is not None else g
@@ -259,7 +288,9 @@ class SpaceDescriptor:
     ) -> "SpaceDescriptor":
         if g.kind == "torus":
             # The principal slice of a torus is its whole Lie algebra.
-            return cls.torus_cotangent(g.size, left_group=left_group, conjecture=conjecture)
+            return cls.torus_cotangent(
+                g.size, left_group=left_group, right_group=right_group, conjecture=conjecture
+            )
         if g.kind != "gl":
             raise ValueError("group_times_slice supports torus and gl groups")
         lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -285,6 +316,7 @@ class SpaceDescriptor:
         n: int,
         lam,
         left_group: GroupDescriptor | None = None,
+        right_group: GroupDescriptor = _TRIVIAL,
         conjecture: bool = False,
     ) -> "SpaceDescriptor":
         lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -292,11 +324,12 @@ class SpaceDescriptor:
             raise ValueError(f"{lam} is not a partition of {n}")
         left = left_group if left_group is not None else GroupDescriptor.gl(n)
         if lam == Partition((1,) * n):
-            return cls.point(left, conjecture=conjecture)
+            return cls.point(left, right_group=right_group, conjecture=conjecture)
         return cls(
             "orbit_closure",
             orbit_dim(lam),
             left_group=left,
+            right_group=right_group,
             group=GroupDescriptor.gl(n),
             partition=lam,
             size=n,
@@ -309,12 +342,22 @@ class SpaceDescriptor:
 
     @classmethod
     def type_a_singularity(
-        cls, index: int, left_group: GroupDescriptor | None = None, conjecture: bool = False
+        cls,
+        index: int,
+        left_group: GroupDescriptor = _TRIVIAL,
+        right_group: GroupDescriptor = _TRIVIAL,
+        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         if index < 1:
             raise ValueError("type A index must be at least 1")
-        left = left_group if left_group is not None else _TRIVIAL
-        return cls("type_A_singularity", 2, left_group=left, index=index, conjecture=conjecture)
+        return cls(
+            "type_A_singularity",
+            2,
+            left_group=left_group,
+            right_group=right_group,
+            index=index,
+            conjecture=conjecture,
+        )
 
     @classmethod
     def cotangent_of_rep(
@@ -356,13 +399,18 @@ class SpaceDescriptor:
 
     @classmethod
     def coulomb_branch(
-        cls, theory, left_group: GroupDescriptor | None = None, conjecture: bool = False
+        cls,
+        theory,
+        left_group: GroupDescriptor | None = None,
+        right_group: GroupDescriptor = _TRIVIAL,
+        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         left = left_group if left_group is not None else GroupDescriptor.torus(theory.rank)
         return cls(
             "coulomb_branch",
             2 * theory.rank,
             left_group=left,
+            right_group=right_group,
             theory=theory,
             conjecture=conjecture,
         )
@@ -434,22 +482,9 @@ class SpaceDescriptor:
     # ---- value semantics ----------------------------------------------
 
     def _key(self):
-        return (
-            self.kind,
-            self.dim,
-            self.left_group,
-            self.right_group,
-            self.group,
-            self.partition,
-            self.size,
-            self.index,
-            self.rep_dims,
-            self.theory,
-            self.factors,
-            self.conjecture,
-            self.possibly_singular,
-            self.right_twisted,
-        )
+        payload = tuple(getattr(self, attr) for attr, _, _ in self.FIELDS[self.kind][1])
+        flags = (self.conjecture, self.possibly_singular, self.right_twisted)
+        return (self.kind, self.dim, self.left_group, self.right_group, flags, payload)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpaceDescriptor) and self._key() == other._key()
@@ -473,7 +508,7 @@ class SpaceDescriptor:
         if self.kind == "group_times_slice":
             return f"{self.group} x Slice{self.partition}"
         if self.kind == "orbit_closure":
-            return f"OrbitClosure{self.partition} in gl({self.size})"
+            return orbit_closure_text(self.partition)
         if self.kind == "type_A_singularity":
             return f"A_{self.index} singularity"
         if self.kind == "cotangent_of_rep":
@@ -507,21 +542,11 @@ class SpaceDescriptor:
             "left_group": self.left_group.to_json(),
             "right_group": self.right_group.to_json(),
         }
-        if self.group is not None:
-            data["group"] = self.group.to_json()
-        if self.partition is not None:
-            data["partition"] = list(self.partition.parts)
-        if self.size is not None:
-            data["n" if self.kind == "orbit_closure" else "rank"] = self.size
-        if self.index is not None:
-            data["index"] = self.index
-        if self.rep_dims is not None:
-            data["dims"] = list(self.rep_dims)
-        if self.theory is not None:
-            data["theory"] = self.theory.to_json()
-        if self.factors:
-            data["factors"] = [f.to_json() for f in self.factors]
-        for flag in ("conjecture", "possibly_singular", "right_twisted"):
+        for attr, key, _ in self.FIELDS[self.kind][1]:
+            value = getattr(self, attr)
+            if value is not None:
+                data[key] = _CODECS.get(attr, _PLAIN)[0](value)
+        for flag in self.FLAGS:
             if getattr(self, flag):
                 data[flag] = True
         return data
@@ -529,79 +554,53 @@ class SpaceDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
         kind = data.get("kind")
-        left = GroupDescriptor.from_json(data["left_group"]) if "left_group" in data else _TRIVIAL
-        right = GroupDescriptor.from_json(data["right_group"]) if "right_group" in data else _TRIVIAL
-        conjecture = bool(data.get("conjecture", False))
-        if kind == "point":
-            return cls.point(left, right_group=right, conjecture=conjecture)
-        if kind == "torus_cotangent":
-            return cls.torus_cotangent(data["rank"], left_group=left if "left_group" in data else None)
-        if kind == "cotangent_of_group":
-            g = GroupDescriptor.from_json(data["group"])
-            return cls.cotangent_of_group(
-                g,
-                left_group=left if "left_group" in data else None,
-                right_group=right,
-                conjecture=conjecture,
+        if kind not in cls.FIELDS:
+            raise ValueError(f"unknown space kind {kind!r}")
+        constructor, fields = cls.FIELDS[kind]
+        args = {
+            arg: _CODECS.get(attr, _PLAIN)[1](data[key])
+            for attr, key, arg in fields
+            if arg is not None and key in data
+        }
+        for side in ("left_group", "right_group"):
+            if side in data:
+                args[side] = GroupDescriptor.from_json(data[side])
+        built = getattr(cls, constructor)(**args)
+        # No constructor checks anything about the flags, so every kind takes
+        # them as written.
+        for flag in cls.FLAGS:
+            if data.get(flag):
+                setattr(built, flag, True)
+        if "dim" in data and data["dim"] != built.dim:
+            raise ValueError(
+                f"stated dim {data['dim']!r} differs from dim {built.dim} of this {kind}"
             )
-        if kind == "group_times_slice":
-            g = GroupDescriptor.from_json(data["group"])
-            return cls.group_times_slice(
-                g,
-                Partition(data["partition"]),
-                left_group=left if "left_group" in data else None,
-                right_group=right,
-                conjecture=conjecture,
-            )
-        if kind == "orbit_closure":
-            return cls.orbit_closure(
-                data["n"],
-                Partition(data["partition"]),
-                left_group=left if "left_group" in data else None,
-                conjecture=conjecture,
-            )
-        if kind == "type_A_singularity":
-            return cls.type_a_singularity(
-                data["index"], left_group=left if "left_group" in data else None
-            )
-        if kind == "cotangent_of_rep":
-            if "theory" in data:
-                from .abelian_coulomb import TorusTheory
+        return built
 
-                return cls.cotangent_of_rep(
-                    theory=TorusTheory.from_json(data["theory"]),
-                    left_group=left if "left_group" in data else None,
-                    right_group=right if "right_group" in data else None,
-                )
-            return cls.cotangent_of_rep(
-                dims=tuple(data["dims"]),
-                left_group=left if "left_group" in data else None,
-                right_group=right if "right_group" in data else None,
-                conjecture=conjecture,
-            )
-        if kind == "coulomb_branch":
-            from .abelian_coulomb import TorusTheory
 
-            return cls.coulomb_branch(
-                TorusTheory.from_json(data["theory"]),
-                left_group=left if "left_group" in data else None,
-            )
-        if kind == "product":
-            return cls.product_space(
-                (cls.from_json(f) for f in data["factors"]),
-                left_group=left,
-                right_group=right,
-                conjecture=conjecture,
-            )
-        if kind == "reduced":
-            return cls.reduced(
-                data["dim"],
-                left_group=left,
-                right_group=right,
-                possibly_singular=bool(data.get("possibly_singular", False)),
-                right_twisted=bool(data.get("right_twisted", False)),
-            )
-        raise ValueError(f"unknown space kind {kind!r}")
+def orbit_closure_text(lam: Partition) -> str:
+    """Name of the closure of the nilpotent orbit of Jordan type lam in gl(|lam|)."""
+    return f"OrbitClosure{lam} in gl({lam.n})"
+
+
+def _theory_from_json(data: dict):
+    from .abelian_coulomb import TorusTheory  # abelian_coulomb imports this module
+
+    return TorusTheory.from_json(data)
+
+
+# (encode, decode) of each payload attribute in JSON; integers pass unchanged.
+_PLAIN = (lambda value: value, lambda value: value)
+_CODECS = {
+    "group": (GroupDescriptor.to_json, GroupDescriptor.from_json),
+    "partition": (lambda lam: list(lam.parts), Partition),
+    "rep_dims": (list, tuple),
+    "theory": (lambda theory: theory.to_json(), _theory_from_json),
+    "factors": (
+        lambda factors: [f.to_json() for f in factors],
+        lambda docs: tuple(SpaceDescriptor.from_json(doc) for doc in docs),
+    ),
+}
 
 
 def compose(

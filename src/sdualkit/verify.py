@@ -13,21 +13,20 @@ import os
 import random
 from collections import namedtuple
 
-import numpy as np
-
 from . import brane, spaces
 from .abelian_coulomb import (
     TorusTheory,
     multiply,
     present_rank1,
     structure_exponents,
+    structure_factor,
 )
-from .exactalg import eval_product
 from .partitions import (
     Partition,
     chain_to_orbit,
     dominates,
     numeric_jordan_oracle,
+    orbit_dim,
     partitions_of,
     rank_profile,
     transpose,
@@ -93,6 +92,10 @@ def _box(rank: int, cutoff: int) -> list[tuple[int, ...]]:
     return list(itertools.product(range(-cutoff, cutoff + 1), repeat=rank))
 
 
+def _halfsum(u: int, v: int) -> int:
+    return abs(u) + abs(v) - abs(u + v)
+
+
 def check_coulomb_product_laws(rng: random.Random) -> tuple[bool, str]:
     theories = _random_theories(rng)
     triples_checked = 0
@@ -102,23 +105,16 @@ def check_coulomb_product_laws(rng: random.Random) -> tuple[bool, str]:
         # the product of basis classes depends on a cocharacter only through
         # its pairings, so distinct pairing values cover every triple.
         for a in t.linear_weights:
-            vals = np.unique(
-                np.fromiter((a.pairing(c) for c in cochars), dtype=np.int64, count=len(cochars))
-            )
-            x = vals[:, None, None]
-            y = vals[None, :, None]
-            z = vals[None, None, :]
-
-            def halfsum(u, v):
-                return np.abs(u) + np.abs(v) - np.abs(u + v)
-
-            lhs = halfsum(x, y) + halfsum(x + y, z)
-            rhs = halfsum(y, z) + halfsum(x, y + z)
-            if not (lhs == rhs).all():
-                return False, f"value-level associativity failed for {t!r}"
-            if (halfsum(x[:, :, 0], y[:, :, 0]) % 2).any():
+            vals = sorted({a.pairing(c) for c in cochars})
+            for x in vals:
+                for y in vals:
+                    left = _halfsum(x, y)
+                    for z in vals:
+                        if left + _halfsum(x + y, z) != _halfsum(y, z) + _halfsum(x, y + z):
+                            return False, f"value-level associativity failed for {t!r}"
+            if any(_halfsum(x, y) % 2 for x in vals for y in vals):
                 return False, f"odd correction exponent for {t!r}"
-            triples_checked += vals.size**3
+            triples_checked += len(vals) ** 3
         # Element-level checks through the actual product implementation.
         if t.rank == 1:
             sample = [(l, m, n) for l in cochars for m in cochars for n in cochars]
@@ -157,8 +153,7 @@ def check_coulomb_grading(rng: random.Random) -> tuple[bool, str]:
             exps = structure_exponents(t, lam, mu)
             if any(e < 0 for e in exps):
                 return False, f"negative exponent at {lam},{mu} for {t!r}"
-            factor = eval_product(list(zip(t.linear_weights, exps)), rank=t.rank)
-            degree = factor.homogeneous_degree()
+            degree = structure_factor(t, lam, mu).homogeneous_degree()
             expected = (
                 t.monopole_degree_doubled(lam)
                 + t.monopole_degree_doubled(mu)
@@ -181,9 +176,9 @@ def check_coulomb_grading(rng: random.Random) -> tuple[bool, str]:
 
 def check_orbit_chain_family(rng: random.Random) -> tuple[bool, str]:
     for n in range(1, 9):
-        orbit = chain_to_orbit(tuple(range(n + 1)))
-        if orbit.jordan_type != Partition((n,)):
-            return False, f"staircase chain of length {n} gave {orbit.jordan_type}"
+        lam = chain_to_orbit(tuple(range(n + 1)))
+        if lam != Partition((n,)):
+            return False, f"staircase chain of length {n} gave {lam}"
         acc = spaces.SpaceDescriptor.m_circle(0, 1)
         for i in range(1, n):
             acc = spaces.compose(
@@ -191,8 +186,8 @@ def check_orbit_chain_family(rng: random.Random) -> tuple[bool, str]:
             )
         if acc.dim != n * n - n:
             return False, f"composed dimension {acc.dim} != {n * n - n} at n={n}"
-        if orbit.dim != n * n - n:
-            return False, f"orbit dimension {orbit.dim} != {n * n - n} at n={n}"
+        if orbit_dim(lam) != n * n - n:
+            return False, f"orbit dimension {orbit_dim(lam)} != {n * n - n} at n={n}"
     return True, "staircase chains reach the full cone with matching dimensions, n <= 8"
 
 
@@ -348,13 +343,6 @@ def check_quiver_sdual_pipeline(rng: random.Random) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # hyperspherical heuristic
 # ---------------------------------------------------------------------------
-
-DEFICIT_CASES = [
-    ("weight-one hypermultiplet under T(1)", 0),
-    ("T*GL(n) under GL(n), n=1..4", [0, 2, 6, 12]),
-    ("trivial matter", {"T(1)": -2, "GL(1)": -2, "GL(2)": -6, "GL(3)": -12, "GL(4)": -20}),
-]
-
 
 def check_hyperspherical_deficit(rng: random.Random) -> tuple[bool, str]:
     t1 = spaces.GroupDescriptor.torus(1)

@@ -198,6 +198,12 @@ class TestDualCommand:
         parsed = SpaceDescriptor.from_json(json.loads(out))
         assert parsed == SpaceDescriptor.orbit_closure(3, [2, 1])
 
+    def test_inconsistent_dim_exit_2(self, capsys, monkeypatch):
+        doc = {"kind": "point", "dim": 999}
+        code, _, err = run_cli(["dual", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_no_known_dual_exit_3(self, capsys, monkeypatch):
         doc = {"kind": "type_A_singularity", "index": 2, "dim": 2}
         code, _, _ = run_cli(["dual", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
