@@ -7,8 +7,6 @@ from .abelian_coulomb import (
     RankTooHighError,
     RingPresentation,
     TorusTheory,
-    VarietyTag,
-    classify_relation,
     multiply,
     present_rank1,
     reduce_multiplicative,

@@ -22,6 +22,7 @@ sublattice.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 from . import spaces
@@ -32,6 +33,8 @@ from .exactalg import (
     RankMismatchError,
     eval_product,
     integer_kernel,
+    strict_int,
+    strict_ints,
 )
 
 
@@ -80,11 +83,13 @@ class TorusTheory:
             raise ValueError(f"unknown keys {sorted(unknown)} in theory document")
         if "rank" not in data:
             raise ValueError("theory document requires a rank")
-        return cls(
-            data["rank"],
-            data.get("linear_weights", ()),
-            data.get("multiplicative_weights", ()),
-        )
+        weights = []
+        for key in ("linear_weights", "multiplicative_weights"):
+            rows = data.get(key, [])
+            if not isinstance(rows, list):
+                raise ValueError(f"{key} must be a list of weight vectors, got {rows!r}")
+            weights.append([strict_ints(row, key) for row in rows])
+        return cls(strict_int(data["rank"], "rank"), *weights)
 
     def describe(self) -> str:
         out = f"rank {self.rank}"
@@ -289,93 +294,46 @@ def reduce_multiplicative(theory: TorusTheory) -> tuple[TorusTheory, tuple[Cocha
     return TorusTheory(len(basis), restricted, ()), basis
 
 
-class VarietyTag:
-    """Classification of a rank-one Coulomb branch up to isomorphism."""
-
-    __slots__ = ("kind", "index")
-
-    KINDS = ("point", "torus_cotangent", "affine_plane", "type_A_singularity", "unclassified")
-
-    def __init__(self, kind: str, index: int | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown variety tag {kind!r}")
-        if (kind == "type_A_singularity") != (index is not None):
-            raise ValueError("exactly type A tags carry an index")
-        self.kind = kind
-        self.index = index
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VarietyTag) and (self.kind, self.index) == (other.kind, other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.index))
-
-    def __str__(self) -> str:
-        if self.kind == "point":
-            return "point"
-        if self.kind == "torus_cotangent":
-            return "T^*(C^x)"
-        if self.kind == "affine_plane":
-            return "C^2"
-        if self.kind == "type_A_singularity":
-            return f"A_{self.index} singularity"
-        return "unclassified"
-
-    def __repr__(self) -> str:
-        return f"VarietyTag({self.kind!r}, {self.index!r})"
-
-
-def classify_relation(rhs: Polynomial) -> VarietyTag:
-    """Classify x*y = rhs up to unit scalars on a rank-one variable."""
-    decomposition = rhs.as_unit_monomial()
-    if decomposition is None:
-        return VarietyTag("unclassified")
-    _, exps = decomposition
-    degree = sum(exps)
-    if degree == 0:
-        return VarietyTag("torus_cotangent")
-    if len([e for e in exps if e]) > 1:
-        return VarietyTag("unclassified")
-    if degree == 1:
-        return VarietyTag("affine_plane")
-    return VarietyTag("type_A_singularity", degree - 1)
+_BRACKET_NAMES = {"torus_cotangent": "T^*(C^x)", "cotangent_of_rep": "C^2"}
 
 
 class RingPresentation:
-    """Generators, a single defining relation, and a variety classification."""
+    """Generators, a single defining relation, and the variety they present."""
 
-    __slots__ = ("variables", "relation", "tag")
+    __slots__ = ("variables", "relation", "space")
 
-    def __init__(self, variables, relation: Polynomial | None, tag: VarietyTag):
+    def __init__(self, variables, relation: Polynomial | None, space: spaces.SpaceDescriptor):
         self.variables = tuple((str(name), int(deg)) for name, deg in variables)
         self.relation = relation
-        self.tag = tag
-
-    @classmethod
-    def point_presentation(cls) -> "RingPresentation":
-        return cls((), None, VarietyTag("point"))
+        self.space = space
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RingPresentation)
-            and (self.variables, self.relation, self.tag)
-            == (other.variables, other.relation, other.tag)
+            and (self.variables, self.relation, self.space)
+            == (other.variables, other.relation, other.space)
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, self.relation, self.tag))
+        return hash((self.variables, self.relation, self.space))
+
+    def variety_name(self) -> str:
+        """The bracketed name of the presented variety; the point has none."""
+        if self.space.kind == "type_A_singularity":
+            return f"A_{self.space.index} singularity"
+        return _BRACKET_NAMES[self.space.kind]
 
     def __str__(self) -> str:
-        if self.tag.kind == "point":
+        if self.space.kind == "point":
             return "point"
         names = ", ".join(name for name, _ in self.variables)
-        return f"C[{names}] / (x*y = {self.relation})  [{self.tag}]"
+        return f"C[{names}] / (x*y = {self.relation})  [{self.variety_name()}]"
 
     def __repr__(self) -> str:
         return f"<RingPresentation {self}>"
 
     def to_json(self) -> dict:
-        if self.tag.kind == "point":
+        if self.space.kind == "point":
             return {"variety": "point", "variables": [], "relation": None}
         return {
             "variables": [{"name": n, "degree_doubled": d} for n, d in self.variables],
@@ -386,30 +344,44 @@ class RingPresentation:
                     {"exponents": list(e), "coeff": c} for e, c in self.relation.sorted_terms()
                 ],
             },
-            "variety": str(self.tag),
+            "variety": self.variety_name(),
         }
 
 
 def present_rank1(theory: TorusTheory) -> RingPresentation:
     """Presentation C[w, x, y] / (x*y = prod_j a_j(w)^{|a_j|}) in effective rank one.
 
-    Multiplicative directions are reduced away first; effective rank zero
-    yields the point, and effective rank two or more is unsupported (use the
-    structure-constant table instead).
+    The relation is the product r[1] * r[-1], and the monopole degree D of
+    x = r[1] and y = r[-1] (stored doubled) names the variety: T^*(C^x) for
+    D = 0, C^2 for D = 1, the A_{D-1} singularity above. Multiplicative
+    directions are reduced away first; effective rank zero yields the point,
+    and effective rank two or more is unsupported (use the structure-constant
+    table instead). The original torus acts on the left.
     """
     reduced, _ = reduce_multiplicative(theory)
+    acting = spaces.GroupDescriptor.torus(theory.rank)
     if reduced.rank == 0:
-        return RingPresentation.point_presentation()
+        return RingPresentation((), None, spaces.SpaceDescriptor.point(acting))
     if reduced.rank > 1:
         raise RankTooHighError(
             f"effective rank {reduced.rank}: only rank-one presentations are supported"
         )
-    rhs = eval_product(
-        [(a, abs(a.coeffs[0])) for a in reduced.linear_weights], rank=1
-    )
-    degree_doubled = sum(abs(a.coeffs[0]) for a in reduced.linear_weights)
-    variables = (("w", 2), ("x", degree_doubled), ("y", degree_doubled))
-    return RingPresentation(variables, rhs, classify_relation(rhs))
+    degree = reduced.monopole_degree_doubled((1,))
+    if degree == 0:
+        space = spaces.SpaceDescriptor.torus_cotangent(1, left_group=acting)
+    elif degree == 1:
+        space = spaces.SpaceDescriptor.cotangent_of_rep(
+            dims=(1, 1), left_group=acting, right_group=spaces.GroupDescriptor.trivial()
+        )
+    else:
+        space = spaces.SpaceDescriptor.type_a_singularity(degree - 1, left_group=acting)
+    variables = (("w", 2), ("x", degree), ("y", degree))
+    return RingPresentation(variables, structure_factor(reduced, (1,), (-1,)), space)
+
+
+def cochar_box(rank: int, cutoff: int) -> list[Cochar]:
+    """Every cocharacter with |lam|_inf <= cutoff, in lexicographic order."""
+    return list(itertools.product(range(-cutoff, cutoff + 1), repeat=rank))
 
 
 def structure_constant_table(
@@ -422,23 +394,8 @@ def structure_constant_table(
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    box: list[Cochar] = []
-
-    def fill(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == theory.rank:
-            if theory.annihilates_multiplicative(prefix):
-                box.append(prefix)
-            return
-        for value in range(-cutoff, cutoff + 1):
-            fill(prefix + (value,))
-
-    fill(())
-    box.sort()
-    table = []
-    for lam in box:
-        for mu in box:
-            table.append((lam, mu, structure_factor(theory, lam, mu)))
-    return table
+    box = [lam for lam in cochar_box(theory.rank, cutoff) if theory.annihilates_multiplicative(lam)]
+    return [(lam, mu, structure_factor(theory, lam, mu)) for lam in box for mu in box]
 
 
 def sdual_torus(theory: TorusTheory) -> spaces.SpaceDescriptor:
@@ -449,20 +406,9 @@ def sdual_torus(theory: TorusTheory) -> spaces.SpaceDescriptor:
     """
     reduced, _ = reduce_multiplicative(theory)
     acting = spaces.GroupDescriptor.torus(theory.rank)
-    if reduced.rank == 0:
-        return spaces.SpaceDescriptor.point(acting)
-    if not reduced.linear_weights or all(
-        all(c == 0 for c in a.coeffs) for a in reduced.linear_weights
-    ):
+    if all(all(c == 0 for c in a.coeffs) for a in reduced.linear_weights):
+        # With every weight zero the Coulomb branch is T*(C^x)^r, the point at r = 0.
         return spaces.SpaceDescriptor.torus_cotangent(reduced.rank, left_group=acting)
     if reduced.rank == 1:
-        tag = present_rank1(reduced).tag
-        if tag.kind == "torus_cotangent":
-            return spaces.SpaceDescriptor.torus_cotangent(1, left_group=acting)
-        if tag.kind == "affine_plane":
-            return spaces.SpaceDescriptor.cotangent_of_rep(
-                dims=(1, 1), left_group=acting, right_group=spaces.GroupDescriptor.trivial()
-            )
-        if tag.kind == "type_A_singularity":
-            return spaces.SpaceDescriptor.type_a_singularity(tag.index, left_group=acting)
+        return present_rank1(theory).space
     return spaces.SpaceDescriptor.coulomb_branch(reduced, left_group=acting)

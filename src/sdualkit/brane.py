@@ -109,10 +109,6 @@ class QuiverData:
         if any(v < 0 for v in self.gauge) or any(w < 0 for w in self.framing):
             raise ValueError("quiver dimensions must be nonnegative")
 
-    @property
-    def length(self) -> int:
-        return len(self.gauge)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, QuiverData)

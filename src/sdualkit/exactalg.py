@@ -14,6 +14,20 @@ class RankMismatchError(ValueError):
     """Operands built over different variable ranks were mixed."""
 
 
+def strict_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; bool, float, null and the rest raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def strict_ints(values, what: str) -> list[int]:
+    """``values`` if it is a JSON list of integers, checked by strict_int."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return [strict_int(v, what) for v in values]
+
+
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     old_r, r = a, b
@@ -104,12 +118,6 @@ class Polynomial:
     def one(cls, rank: int) -> "Polynomial":
         return cls.constant(rank, 1)
 
-    @classmethod
-    def variable(cls, rank: int, index: int) -> "Polynomial":
-        if not 0 <= index < rank:
-            raise ValueError(f"variable index {index} out of range for rank {rank}")
-        return cls(rank, {_unit_exponent(rank, index): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -190,26 +198,12 @@ class Polynomial:
             return degrees.pop()
         return None
 
-    def as_unit_monomial(self):
-        """Decompose as c * w^e with c a nonzero integer, or None.
-
-        This is the only factorization the toolkit ever needs: it feeds the
-        classification of rank-one relations up to a scalar.
-        """
-        if len(self.terms) != 1:
-            return None
-        ((exps, coeff),) = self.terms.items()
-        return coeff, exps
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms sorted by descending total degree, then descending exponents."""
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
-    def format(self, varnames: Sequence[str] | None = None) -> str:
-        if varnames is None:
-            varnames = ["w"] if self.rank == 1 else [f"w{i + 1}" for i in range(self.rank)]
-        if len(varnames) != self.rank:
-            raise RankMismatchError("wrong number of variable names")
+    def __str__(self) -> str:
+        varnames = ["w"] if self.rank == 1 else [f"w{i + 1}" for i in range(self.rank)]
         if not self.terms:
             return "0"
         pieces = []
@@ -234,11 +228,8 @@ class Polynomial:
             out += f" {sign} {body}"
         return out
 
-    def __str__(self) -> str:
-        return self.format()
-
     def __repr__(self) -> str:
-        return f"Polynomial(rank={self.rank}, {self.format()!r})"
+        return f"Polynomial(rank={self.rank}, {str(self)!r})"
 
 
 def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = None) -> Polynomial:
@@ -297,37 +288,6 @@ class IntegerMatrix:
         return f"IntegerMatrix({self.rows}x{self.cols}, {[list(r) for r in self.entries]!r})"
 
 
-def _column_echelon(m: IntegerMatrix) -> tuple[int, list[tuple[int, ...]]]:
-    """Unimodular column reduction; returns (rank, raw kernel basis)."""
-    rows, cols = m.rows, m.cols
-    acols = [[m.entries[i][j] for i in range(rows)] for j in range(cols)]
-    ucols = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    fixed = 0
-    for i in range(rows):
-        pivot = None
-        for j in range(fixed, cols):
-            if not acols[j][i]:
-                continue
-            if pivot is None:
-                pivot = j
-                continue
-            a, b = acols[pivot][i], acols[j][i]
-            g, s, t = _extgcd(a, b)
-            pa, pb = a // g, b // g
-            new_pa = [s * acols[pivot][k] + t * acols[j][k] for k in range(rows)]
-            new_ja = [-pb * acols[pivot][k] + pa * acols[j][k] for k in range(rows)]
-            new_pu = [s * ucols[pivot][k] + t * ucols[j][k] for k in range(cols)]
-            new_ju = [-pb * ucols[pivot][k] + pa * ucols[j][k] for k in range(cols)]
-            acols[pivot], acols[j] = new_pa, new_ja
-            ucols[pivot], ucols[j] = new_pu, new_ju
-        if pivot is not None:
-            acols[fixed], acols[pivot] = acols[pivot], acols[fixed]
-            ucols[fixed], ucols[pivot] = ucols[pivot], ucols[fixed]
-            fixed += 1
-    kernel = [tuple(ucols[j]) for j in range(fixed, cols)]
-    return fixed, kernel
-
-
 def _hermite_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical (Hermite) basis of the row lattice spanned by ``vectors``.
 
@@ -367,15 +327,21 @@ def _hermite_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
 def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
     """Canonical basis of the full integer kernel lattice {v : m v = 0}.
 
-    The kernel of an integer matrix is saturated, so the Hermite basis rows
-    are automatically primitive and generate the whole lattice, not a
-    finite-index sublattice.
+    Column j of m, extended by the unit vector e_j, records both its image
+    and its coordinates; the Hermite rows whose image part vanishes are the
+    Hermite basis of the kernel. The kernel of an integer matrix is
+    saturated, so these rows generate the whole lattice, not a finite-index
+    sublattice.
     """
-    _, raw = _column_echelon(m)
-    return _hermite_rows(raw, m.cols)
+    extended = [
+        [row[j] for row in m.entries] + [1 if i == j else 0 for i in range(m.cols)]
+        for j in range(m.cols)
+    ]
+    return [
+        r[m.rows:] for r in _hermite_rows(extended, m.rows + m.cols) if not any(r[: m.rows])
+    ]
 
 
 def integer_rank(m: IntegerMatrix) -> int:
     """Rank of an integer matrix, computed exactly."""
-    rank, _ = _column_echelon(m)
-    return rank
+    return len(_hermite_rows(m.entries, m.cols))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .exactalg import strict_int, strict_ints
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
@@ -117,14 +118,33 @@ class GroupDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
-        kind = data.get("kind")
+        kind = _object(data, "group").get("kind")
         if kind == "torus":
-            return cls.torus(data["rank"])
+            return cls.torus(strict_int(_required(data, "rank", kind), "rank"))
         if kind == "gl":
-            return cls.gl(data["n"])
+            return cls.gl(strict_int(_required(data, "n", kind), "n"))
         if kind == "product":
-            return cls.product(cls.from_json(f) for f in data["factors"])
+            factors = _list(_required(data, "factors", kind), "factors")
+            return cls.product(cls.from_json(f) for f in factors)
         raise ValueError(f"unknown group kind {kind!r}")
+
+
+def _object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} document must be a JSON object, got {data!r}")
+    return data
+
+
+def _list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON list, got {data!r}")
+    return data
+
+
+def _required(data: dict, key: str, kind: str):
+    if key not in data:
+        raise ValueError(f"{kind} document requires {key!r}")
+    return data[key]
 
 
 _TRIVIAL = GroupDescriptor.trivial()
@@ -140,10 +160,9 @@ class SpaceDescriptor:
     """
 
     # Per kind: the public constructor that rebuilds it, and its payload as
-    # (attribute, JSON key, constructor argument) triples; an argument of None
-    # marks a value the constructor derives. Every kind also carries dim,
-    # left_group, right_group and the FLAGS. to_json, from_json and _key all
-    # read this table.
+    # (attribute, JSON key, constructor argument) triples. Every kind also
+    # carries dim, left_group, right_group and the FLAGS. to_json, from_json
+    # and _key all read this table.
     FIELDS = {
         "point": ("point", ()),
         "cotangent_of_rep": (
@@ -157,7 +176,7 @@ class SpaceDescriptor:
         ),
         "orbit_closure": (
             "orbit_closure",
-            (("group", "group", None), ("partition", "partition", "lam"), ("size", "n", "n")),
+            (("group", "group", "group"), ("partition", "partition", "lam"), ("size", "n", "n")),
         ),
         "type_A_singularity": ("type_a_singularity", (("index", "index", "index"),)),
         "torus_cotangent": ("torus_cotangent", (("size", "rank", "r"),)),
@@ -166,6 +185,9 @@ class SpaceDescriptor:
         "reduced": ("reduced", (("dim", "dim", "dim"),)),
     }
     KINDS = tuple(FIELDS)
+    # Payload keys a document may leave out: cotangent_of_rep takes exactly one
+    # of dims / theory, and an orbit closure's group follows from n.
+    OPTIONAL = {"cotangent_of_rep": ("dims", "theory"), "orbit_closure": ("group",)}
     FLAGS = ("conjecture", "possibly_singular", "right_twisted")
 
     __slots__ = (
@@ -318,10 +340,15 @@ class SpaceDescriptor:
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
         conjecture: bool = False,
+        group: GroupDescriptor | None = None,
     ) -> "SpaceDescriptor":
+        """The closure of the orbit of Jordan type lam in gl(n); ``group``, if
+        given, must be gl(n), checked even where the closure is the point."""
         lam = lam if isinstance(lam, Partition) else Partition(lam)
         if lam.n != n:
             raise ValueError(f"{lam} is not a partition of {n}")
+        if group is not None and group != GroupDescriptor.gl(n):
+            raise ValueError(f"the orbit closure of {lam} has group GL({n}), not {group}")
         left = left_group if left_group is not None else GroupDescriptor.gl(n)
         if lam == Partition((1,) * n):
             return cls.point(left, right_group=right_group, conjecture=conjecture)
@@ -545,7 +572,7 @@ class SpaceDescriptor:
         for attr, key, _ in self.FIELDS[self.kind][1]:
             value = getattr(self, attr)
             if value is not None:
-                data[key] = _CODECS.get(attr, _PLAIN)[0](value)
+                data[key] = _CODECS.get(attr, _INT)[0](value)
         for flag in self.FLAGS:
             if getattr(self, flag):
                 data[flag] = True
@@ -553,15 +580,14 @@ class SpaceDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
-        kind = data.get("kind")
+        kind = _object(data, "space").get("kind")
         if kind not in cls.FIELDS:
             raise ValueError(f"unknown space kind {kind!r}")
         constructor, fields = cls.FIELDS[kind]
-        args = {
-            arg: _CODECS.get(attr, _PLAIN)[1](data[key])
-            for attr, key, arg in fields
-            if arg is not None and key in data
-        }
+        args = {}
+        for attr, key, arg in fields:
+            if key in data or key not in cls.OPTIONAL.get(kind, ()):
+                args[arg] = _CODECS.get(attr, _INT)[1](_required(data, key, kind), key)
         for side in ("left_group", "right_group"):
             if side in data:
                 args[side] = GroupDescriptor.from_json(data[side])
@@ -569,9 +595,12 @@ class SpaceDescriptor:
         # No constructor checks anything about the flags, so every kind takes
         # them as written.
         for flag in cls.FLAGS:
-            if data.get(flag):
+            value = data.get(flag, False)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag} must be true or false, got {value!r}")
+            if value:
                 setattr(built, flag, True)
-        if "dim" in data and data["dim"] != built.dim:
+        if "dim" in data and strict_int(data["dim"], "dim") != built.dim:
             raise ValueError(
                 f"stated dim {data['dim']!r} differs from dim {built.dim} of this {kind}"
             )
@@ -589,16 +618,20 @@ def _theory_from_json(data: dict):
     return TorusTheory.from_json(data)
 
 
-# (encode, decode) of each payload attribute in JSON; integers pass unchanged.
-_PLAIN = (lambda value: value, lambda value: value)
+# (encode, decode) of each payload attribute in JSON; decode takes the value
+# and its key. Integers are written unchanged and read by strict_int.
+_INT = (lambda value: value, strict_int)
 _CODECS = {
-    "group": (GroupDescriptor.to_json, GroupDescriptor.from_json),
-    "partition": (lambda lam: list(lam.parts), Partition),
-    "rep_dims": (list, tuple),
-    "theory": (lambda theory: theory.to_json(), _theory_from_json),
+    "group": (GroupDescriptor.to_json, lambda doc, key: GroupDescriptor.from_json(doc)),
+    "partition": (
+        lambda lam: list(lam.parts),
+        lambda parts, key: Partition(strict_ints(parts, key)),
+    ),
+    "rep_dims": (list, lambda dims, key: tuple(strict_ints(dims, key))),
+    "theory": (lambda theory: theory.to_json(), lambda doc, key: _theory_from_json(doc)),
     "factors": (
         lambda factors: [f.to_json() for f in factors],
-        lambda docs: tuple(SpaceDescriptor.from_json(doc) for doc in docs),
+        lambda docs, key: tuple(SpaceDescriptor.from_json(doc) for doc in _list(docs, key)),
     ),
 }
 

@@ -16,6 +16,7 @@ from collections import namedtuple
 from . import brane, spaces
 from .abelian_coulomb import (
     TorusTheory,
+    cochar_box,
     multiply,
     present_rank1,
     structure_exponents,
@@ -88,10 +89,6 @@ def _random_theories(rng: random.Random, count: int = 200) -> list[TorusTheory]:
     return out
 
 
-def _box(rank: int, cutoff: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(-cutoff, cutoff + 1), repeat=rank))
-
-
 def _halfsum(u: int, v: int) -> int:
     return abs(u) + abs(v) - abs(u + v)
 
@@ -100,7 +97,7 @@ def check_coulomb_product_laws(rng: random.Random) -> tuple[bool, str]:
     theories = _random_theories(rng)
     triples_checked = 0
     for t in theories:
-        cochars = _box(t.rank, 2)
+        cochars = cochar_box(t.rank, 2)
         # Exhaustive associativity over all triples, one weight at a time:
         # the product of basis classes depends on a cocharacter only through
         # its pairings, so distinct pairing values cover every triple.
@@ -144,7 +141,7 @@ def check_coulomb_grading(rng: random.Random) -> tuple[bool, str]:
     theories = _random_theories(rng)
     pairs_checked = 0
     for t in theories:
-        cochars = _box(t.rank, 2)
+        cochars = cochar_box(t.rank, 2)
         if t.rank == 1:
             pairs = [(l, m) for l in cochars for m in cochars]
         else:
@@ -370,13 +367,13 @@ def check_hyperspherical_deficit(rng: random.Random) -> tuple[bool, str]:
 def check_coulomb_brane_crosscheck(rng: random.Random) -> tuple[bool, str]:
     for flavors in range(1, 7):
         theory = TorusTheory(1, [[1]] * flavors)
-        tag = present_rank1(theory).tag
+        space = present_rank1(theory).space
         if flavors == 1:
-            ok = tag.kind == "affine_plane"
+            ok = space.kind == "cotangent_of_rep"
         else:
-            ok = tag.kind == "type_A_singularity" and tag.index == flavors - 1
+            ok = space.kind == "type_A_singularity" and space.index == flavors - 1
         if not ok:
-            return False, f"{flavors} flavors classified as {tag}"
+            return False, f"{flavors} flavors classified as {space}"
         diagram = brane.quiver_to_diagram(brane.QuiverData([1], [flavors]))
         if brane.sdual(diagram) != dual_quiver_pattern([1], [flavors]):
             return False, f"diagram dual mismatch at {flavors} flavors"

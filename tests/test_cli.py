@@ -62,9 +62,16 @@ class TestCoulombCommand:
         assert payload["relation"]["rhs"] == "w^2"
 
     def test_parse_error_exit_2(self, capsys, monkeypatch):
-        code, _, err = run_cli(["coulomb", "-"], capsys, stdin="{nope", monkeypatch=monkeypatch)
-        assert code == 2
-        assert "error" in err
+        documents = [
+            "{nope",
+            '{"rank":1,"linear_weights":[[1.5]]}',
+            '{"rank":true}',
+            '{"rank":null}',
+        ]
+        for text in documents:
+            code, _, err = run_cli(["coulomb", "-"], capsys, stdin=text, monkeypatch=monkeypatch)
+            assert code == 2, text
+            assert err.startswith("error:"), text
 
     def test_rank_too_high_exit_3_suggests_table(self, capsys, monkeypatch):
         code, _, err = run_cli(
@@ -199,10 +206,21 @@ class TestDualCommand:
         assert parsed == SpaceDescriptor.orbit_closure(3, [2, 1])
 
     def test_inconsistent_dim_exit_2(self, capsys, monkeypatch):
-        doc = {"kind": "point", "dim": 999}
-        code, _, err = run_cli(["dual", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
-        assert code == 2
-        assert err.startswith("error:")
+        docs = [
+            {"kind": "point", "dim": 999},
+            [1],
+            {"kind": "orbit_closure"},
+            {"kind": "point", "left_group": {"kind": "gl"}},
+            {"kind": "point", "conjecture": "no"},
+            {"kind": "orbit_closure", "n": 3, "partition": [2, 1], "group": {"kind": "gl", "n": 7}},
+            {"kind": "torus_cotangent", "rank": 2.7},
+        ]
+        for doc in docs:
+            code, _, err = run_cli(
+                ["dual", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch
+            )
+            assert code == 2, doc
+            assert err.startswith("error:"), doc
 
     def test_no_known_dual_exit_3(self, capsys, monkeypatch):
         doc = {"kind": "type_A_singularity", "index": 2, "dim": 2}

@@ -7,16 +7,18 @@ import pytest
 from sdualkit.abelian_coulomb import (
     RankTooHighError,
     TorusTheory,
-    VarietyTag,
-    classify_relation,
     multiply,
     present_rank1,
     reduce_multiplicative,
     sdual_torus,
     structure_constant_table,
     structure_exponents,
+    structure_factor,
 )
 from sdualkit.exactalg import Polynomial
+from sdualkit.spaces import GroupDescriptor, SpaceDescriptor
+
+T1 = GroupDescriptor.torus(1)
 
 
 def box(rank, cutoff):
@@ -169,7 +171,7 @@ class TestPresentation:
     def test_no_matter(self):
         p = present_rank1(TorusTheory(1, []))
         assert str(p) == "C[w, x, y] / (x*y = 1)  [T^*(C^x)]"
-        assert p.tag == VarietyTag("torus_cotangent")
+        assert p.space == SpaceDescriptor.torus_cotangent(1, left_group=T1)
 
     def test_one_flavor(self):
         p = present_rank1(TorusTheory(1, [[1]]))
@@ -178,7 +180,7 @@ class TestPresentation:
     def test_three_flavors(self):
         p = present_rank1(TorusTheory(1, [[1], [1], [1]]))
         assert str(p) == "C[w, x, y] / (x*y = w^3)  [A_2 singularity]"
-        assert p.tag == VarietyTag("type_A_singularity", 2)
+        assert p.space == SpaceDescriptor.type_a_singularity(2, left_group=T1)
 
     def test_point(self):
         assert str(present_rank1(TorusTheory(1, [], [[1]]))) == "point"
@@ -206,16 +208,25 @@ class TestPresentation:
     def test_negative_weights_classify_up_to_unit(self):
         p = present_rank1(TorusTheory(1, [[1], [-1]]))
         assert p.relation == Polynomial(1, {(2,): -1})
-        assert p.tag == VarietyTag("type_A_singularity", 1)
+        assert p.space == SpaceDescriptor.type_a_singularity(1, left_group=T1)
 
-
-class TestClassify:
-    def test_tags(self):
-        assert classify_relation(Polynomial.one(1)) == VarietyTag("torus_cotangent")
-        assert classify_relation(Polynomial.constant(1, -4)) == VarietyTag("torus_cotangent")
-        assert classify_relation(Polynomial(1, {(1,): 5})) == VarietyTag("affine_plane")
-        assert classify_relation(Polynomial(1, {(4,): 1})) == VarietyTag("type_A_singularity", 3)
-        assert classify_relation(Polynomial(1, {(1,): 1, (0,): 1})) == VarietyTag("unclassified")
+    def test_variety_follows_monopole_degree(self):
+        # Every multiset of up to four rank-one weights from -4..4.
+        for size in range(5):
+            for coeffs in itertools.combinations_with_replacement(range(-4, 5), size):
+                t = TorusTheory(1, [[c] for c in coeffs])
+                p = present_rank1(t)
+                degree = sum(abs(c) for c in coeffs)
+                if degree == 0:
+                    name = "T^*(C^x)"
+                elif degree == 1:
+                    name = "C^2"
+                else:
+                    name = f"A_{degree - 1} singularity"
+                assert str(p).endswith(f"  [{name}]")
+                assert p.to_json()["variety"] == name
+                assert p.space == sdual_torus(t)
+                assert p.relation == structure_factor(t, (1,), (-1,))
 
 
 class TestSerialization:

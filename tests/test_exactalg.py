@@ -182,10 +182,6 @@ class TestPolynomial:
         assert Polynomial(2, {(1, 0): 1, (0, 2): 1}).homogeneous_degree() is None
         assert Polynomial.constant(1, 5).homogeneous_degree() == 0
 
-    def test_unit_monomial(self):
-        assert Polynomial(1, {(3,): -7}).as_unit_monomial() == (-7, (3,))
-        assert Polynomial(1, {(3,): 1, (0,): 1}).as_unit_monomial() is None
-
     def test_rendering(self):
         assert str(Polynomial.zero(1)) == "0"
         assert str(Polynomial.one(1)) == "1"
