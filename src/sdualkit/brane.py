@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
+from .exactalg import strict_ints
 from .partitions import chain_to_orbit
 
 
@@ -29,6 +30,8 @@ class UnsupportedDiagramError(ValueError):
 
 NS5 = "o"
 D5 = "x"
+_SYMBOLS = frozenset((NS5, D5))
+_FLIP = {NS5: D5, D5: NS5}
 
 
 class BraneDiagram:
@@ -38,13 +41,25 @@ class BraneDiagram:
 
     def __init__(self, branes: Iterable[str], dims: Iterable[int]):
         self.branes = tuple(branes)
-        self.dims = tuple(int(d) for d in dims)
-        if any(b not in (NS5, D5) for b in self.branes):
+        self.dims = tuple(map(int, dims))
+        try:
+            known = _SYMBOLS.issuperset(self.branes)
+        except TypeError:  # an unhashable symbol is not a brane either
+            known = False
+        if not known:
             raise ValueError(f"brane symbols must be '{NS5}' or '{D5}'")
         if len(self.dims) != len(self.branes) + 1:
             raise ValueError("need exactly one more dimension label than branes")
-        if any(d < 0 for d in self.dims):
+        if min(self.dims) < 0:
             raise ValueError("segment dimensions must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, branes: tuple[str, ...], dims: tuple[int, ...]) -> "BraneDiagram":
+        """Wrap tuples that already pass every check of ``__init__``. Internal results only."""
+        d = object.__new__(cls)
+        d.branes = branes
+        d.dims = dims
+        return d
 
     @classmethod
     def parse(cls, text: str) -> "BraneDiagram":
@@ -73,9 +88,17 @@ class BraneDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "BraneDiagram":
+        if not isinstance(data, dict):
+            raise ValueError("diagram document must be a JSON object")
         if set(data) - {"branes", "dims"}:
             raise ValueError("diagram document allows only 'branes' and 'dims'")
-        return cls(data["branes"], data["dims"])
+        for key in ("branes", "dims"):
+            if key not in data:
+                raise ValueError(f"diagram document requires '{key}'")
+        branes = data["branes"]
+        if not isinstance(branes, list) or not all(isinstance(b, str) for b in branes):
+            raise ValueError(f"diagram branes must be a list of strings, got {branes!r}")
+        return cls(branes, strict_ints(data["dims"], "diagram dimension"))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -102,11 +125,11 @@ class QuiverData:
     __slots__ = ("gauge", "framing")
 
     def __init__(self, gauge: Sequence[int], framing: Sequence[int]):
-        self.gauge = tuple(int(v) for v in gauge)
-        self.framing = tuple(int(w) for w in framing)
+        self.gauge = tuple(map(int, gauge))
+        self.framing = tuple(map(int, framing))
         if len(self.gauge) != len(self.framing):
             raise ValueError("gauge and framing vectors must have the same length")
-        if any(v < 0 for v in self.gauge) or any(w < 0 for w in self.framing):
+        if min(self.gauge + self.framing, default=0) < 0:
             raise ValueError("quiver dimensions must be nonnegative")
 
     def __eq__(self, other: object) -> bool:
@@ -162,13 +185,12 @@ def quiver_to_diagram(q: QuiverData) -> BraneDiagram:
         dims.extend([v] * w)
     branes.append(NS5)
     dims.append(0)
-    return BraneDiagram(branes, dims)
+    return BraneDiagram._trusted(tuple(branes), tuple(dims))
 
 
 def sdual(d: BraneDiagram) -> BraneDiagram:
     """Exchange the two fivebrane types, keeping all segment dimensions."""
-    flipped = tuple(D5 if b == NS5 else NS5 for b in d.branes)
-    return BraneDiagram(flipped, d.dims)
+    return BraneDiagram._trusted(tuple(map(_FLIP.__getitem__, d.branes)), d.dims)
 
 
 def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
@@ -188,11 +210,8 @@ def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
         raise NonAdmissibleMoveError(
             f"transition at {i} would give segment dimension {new_mid}"
         )
-    branes = list(d.branes)
-    branes[i], branes[i + 1] = branes[i + 1], branes[i]
-    dims = list(d.dims)
-    dims[i + 1] = new_mid
-    return BraneDiagram(branes, dims)
+    branes = d.branes[:i] + (d.branes[i + 1], d.branes[i]) + d.branes[i + 2 :]
+    return BraneDiagram._trusted(branes, d.dims[: i + 1] + (new_mid,) + d.dims[i + 2 :])
 
 
 def admissible_moves(d: BraneDiagram) -> list[int]:
@@ -227,7 +246,7 @@ def concat(d1: BraneDiagram, d2: BraneDiagram) -> BraneDiagram:
         raise ValueError(
             f"boundary dimensions differ: {d1.dims[-1]} vs {d2.dims[0]}"
         )
-    return BraneDiagram(d1.branes + d2.branes, d1.dims + d2.dims[1:])
+    return BraneDiagram._trusted(d1.branes + d2.branes, d1.dims + d2.dims[1:])
 
 
 def expected_space(d: BraneDiagram) -> spaces.SpaceDescriptor:

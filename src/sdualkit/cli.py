@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 unsupported input.
+Exit codes: 0 ok, 1 verification failure, 2 malformed input (a parse error, or a
+verify --filter that matches no check), 3 unsupported input.
 """
 
 from __future__ import annotations
@@ -181,6 +182,9 @@ def _cmd_dual(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_checks(name_filter=args.filter, seed=args.seed)
+    if not results:
+        names = ", ".join(name for name, _ in verify.CHECKS)
+        raise ValueError(f"--filter {args.filter!r} matches no check; checks are {names}")
     ok = all(r.passed for r in results)
     if args.json:
         payload = {
@@ -193,7 +197,7 @@ def _cmd_verify(args) -> int:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
         print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return 0 if ok and results else 1
+    return 0 if ok else 1
 
 
 def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:

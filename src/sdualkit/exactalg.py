@@ -7,6 +7,8 @@ golden tests.
 
 from __future__ import annotations
 
+from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 
@@ -43,10 +45,6 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _unit_exponent(rank: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if j == index else 0 for j in range(rank))
-
-
 class LinearForm:
     """Integer linear form on Z^r; pairs with cocharacters by the dot product."""
 
@@ -65,10 +63,6 @@ class LinearForm:
                 f"form of rank {len(self.coeffs)} paired with vector of length {len(cochar)}"
             )
         return sum(c * x for c, x in zip(self.coeffs, cochar))
-
-    def as_polynomial(self) -> "Polynomial":
-        r = len(self.coeffs)
-        return Polynomial(r, {_unit_exponent(r, i): c for i, c in enumerate(self.coeffs) if c})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
@@ -107,6 +101,15 @@ class Polynomial:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, rank: int, terms: dict) -> "Polynomial":
+        """Wrap terms that are already clean: exponent tuples of length ``rank``
+        with entries >= 0, and no zero coefficient. Internal results only."""
+        p = object.__new__(cls)
+        p.rank = rank
+        p.terms = terms
+        return p
+
+    @classmethod
     def constant(cls, rank: int, value: int) -> "Polynomial":
         return cls(rank, {(0,) * rank: int(value)})
 
@@ -136,13 +139,17 @@ class Polynomial:
             return NotImplemented
         acc = dict(self.terms)
         for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return Polynomial(self.rank, acc)
+            total = acc.get(e, 0) + c
+            if total:
+                acc[e] = total
+            else:
+                del acc[e]
+        return Polynomial._trusted(self.rank, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.rank, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.rank, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -157,27 +164,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return Polynomial(self.rank, acc)
+        return Polynomial._trusted(self.rank, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.rank)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -232,25 +221,69 @@ class Polynomial:
         return f"Polynomial(rank={self.rank}, {str(self)!r})"
 
 
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two clean term dicts, with zero sums dropped.
+
+    A one-term operand only shifts and scales the other's terms, which
+    cannot collide or cancel; the constant 1 returns the other dict itself.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        if not any(e1):
+            return b if c1 == 1 else {e: c1 * c for e, c in b.items()}
+        return {tuple(map(add, e, e1)): c1 * c for e, c in b.items()}
+    acc: dict[tuple[int, ...], int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _linear_power(rank: int, support: list[tuple[int, int]], exponent: int) -> dict:
+    """Terms of (sum_i c_i w_i)^exponent over ``support`` = [(i, c_i != 0)].
+
+    Multinomial theorem, one binomial split per variable:
+    (c w_i + rest)^e = sum_k C(e, k) c^k w_i^k rest^(e - k). Distinct splits
+    give distinct exponents and nonzero coefficients, so the terms are clean.
+    """
+    (i, c), rest = support[0], support[1:]
+    if not rest:
+        exps = [0] * rank
+        exps[i] = exponent
+        return {tuple(exps): c**exponent}
+    out = {}
+    for k in range(exponent + 1):
+        head = comb(exponent, k) * c**k
+        for e, coeff in _linear_power(rank, rest, exponent - k).items():
+            out[e[:i] + (k,) + e[i + 1 :]] = head * coeff
+    return out
+
+
 def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = None) -> Polynomial:
     """Expand prod_j a_j(w)^{e_j} exactly.
 
-    ``rank`` is only needed to disambiguate the empty product.
+    Each power is expanded by the multinomial theorem over the nonzero
+    coefficients of a_j. ``rank`` is only needed to disambiguate the empty
+    product.
     """
     factors = list(factors)
     if rank is None:
         if not factors:
             raise ValueError("rank is required for an empty product")
         rank = factors[0][0].rank
-    result = Polynomial.one(rank)
+    terms = {(0,) * rank: 1}
     for form, exponent in factors:
         if form.rank != rank:
             raise RankMismatchError(f"form rank {form.rank} != {rank}")
         if exponent < 0:
             raise ValueError("exponents must be nonnegative")
-        if exponent:
-            result = result * (form.as_polynomial() ** exponent)
-    return result
+        if exponent and terms:
+            support = [(i, c) for i, c in enumerate(form.coeffs) if c]
+            terms = _mul_terms(terms, _linear_power(rank, support, exponent)) if support else {}
+    return Polynomial._trusted(rank, terms)
 
 
 class IntegerMatrix:

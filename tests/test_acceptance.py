@@ -145,9 +145,10 @@ def test_criterion_10_verify_command(capsys):
         timeout=120,
     )
     elapsed = time.monotonic() - start
+    expected = (GOLDEN / "verify_default_seed.golden").read_text(encoding="utf-8")
     with capsys.disabled():
         report(
             "criterion-10 end-to-end verify",
-            proc.returncode == 0 and elapsed < 120.0,
-            f"exit {proc.returncode} in {elapsed:.1f}s",
+            proc.returncode == 0 and elapsed < 120.0 and proc.stdout == expected,
+            f"exit {proc.returncode} in {elapsed:.1f}s, stdout matches golden: {proc.stdout == expected}",
         )

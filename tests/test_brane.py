@@ -51,6 +51,73 @@ class TestDiagramBasics:
         with pytest.raises(ValueError):
             BraneDiagram.parse("0 o 1 x")
 
+    def test_validation_messages(self):
+        cases = [
+            ((["z"], [0, 0]), "brane symbols must be 'o' or 'x'"),
+            (([["o"]], [0, 0]), "brane symbols must be 'o' or 'x'"),
+            ((["z"], [0]), "brane symbols must be 'o' or 'x'"),
+            ((["o"], [0]), "need exactly one more dimension label than branes"),
+            (([], []), "need exactly one more dimension label than branes"),
+            ((["o"], [0, -1]), "segment dimensions must be nonnegative"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as info:
+                BraneDiagram(*args)
+            assert str(info.value) == message
+
+    def test_from_json_rejects_coercions(self):
+        documents = [
+            {"branes": ["o"], "dims": [0, 1.5]},
+            {"branes": ["o"], "dims": [True, 1]},
+            {"branes": ["o"], "dims": [0, None]},
+            {"branes": ["o"], "dims": "01"},
+            {"branes": "o", "dims": [0, 1]},
+            {"branes": [1], "dims": [0, 1]},
+            {"branes": [["o"]], "dims": [0, 1]},
+            {"branes": ["o"]},
+            {"dims": [0]},
+            {"branes": ["o"], "dims": [0, 1], "extra": 1},
+            [["o"], [0, 1]],
+            "0 o 1",
+            None,
+        ]
+        for document in documents:
+            with pytest.raises(ValueError):
+                BraneDiagram.from_json(document)
+
+
+class TestInternalResults:
+    """Moves build their results without re-validation; each must equal the
+    diagram the validating constructor builds from the same fields."""
+
+    @staticmethod
+    def assert_valid(d):
+        rebuilt = BraneDiagram(list(d.branes), list(d.dims))
+        assert d == rebuilt
+        assert hash(d) == hash(rebuilt)
+        assert type(d.branes) is tuple and type(d.dims) is tuple
+        assert all(type(x) is int for x in d.dims)
+
+    def test_moves_give_valid_diagrams(self):
+        rng = random.Random(41)
+        corpus = [random_diagram(rng) for _ in range(300)]
+        for d in corpus:
+            for i in admissible_moves(d):
+                self.assert_valid(hw_move(d, i))
+            self.assert_valid(sdual(d))
+        for d1, d2 in zip(corpus[::2], corpus[1::2]):
+            self.assert_valid(concat(d1, d2))
+
+    def test_unfolded_quivers_are_valid(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            length = rng.randint(0, 4)
+            q = QuiverData(
+                [rng.randint(0, 4) for _ in range(length)],
+                [rng.randint(0, 3) for _ in range(length)],
+            )
+            self.assert_valid(quiver_to_diagram(q))
+
 
 class TestQuiverToDiagram:
     def test_single_node_two_flavors(self):

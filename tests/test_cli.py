@@ -242,8 +242,11 @@ class TestVerifyCommand:
         assert payload["checks"][0]["name"] == "coulomb-presentations"
 
     def test_unknown_filter_fails(self, capsys):
-        code, _, _ = run_cli(["verify", "--filter", "no-such-check"], capsys)
-        assert code == 1
+        code, out, err = run_cli(["verify", "--filter", "no-such-check"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "coulomb-product-laws" in err
 
     def test_seed_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SDUALKIT_SEED", "42")

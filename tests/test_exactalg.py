@@ -166,12 +166,32 @@ class TestPolynomial:
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
 
-    def test_pow_matches_repeated_multiplication(self):
-        p = Polynomial(1, {(1,): 2, (0,): -1})
-        explicit = Polynomial.one(1)
-        for k in range(6):
-            assert p**k == explicit
-            explicit = explicit * p
+    def test_internal_results_are_clean(self):
+        # +, -, * and eval_product build their results without re-validation;
+        # the validating constructor must leave those terms unchanged.
+        rng = random.Random(31)
+
+        def random_poly(rank):
+            return Polynomial(
+                rank,
+                {
+                    tuple(rng.randint(0, 2) for _ in range(rank)): rng.randint(-2, 2)
+                    for _ in range(rng.randint(0, 4))
+                },
+            )
+
+        for _ in range(400):
+            rank = rng.randint(0, 3)
+            a, b = random_poly(rank), random_poly(rank)
+            forms = [
+                (LinearForm([rng.randint(-2, 2) for _ in range(rank)]), rng.randint(0, 3))
+                for _ in range(rng.randint(0, 3))
+            ]
+            results = [a + b, a - b, -a, a * b, a * 1, 1 * a, a * 0, a + a - a]
+            for p in results + [eval_product(forms, rank=rank)]:
+                assert Polynomial(p.rank, p.terms).terms == p.terms
+                assert 0 not in p.terms.values()
+                assert all(len(e) == rank and min(e, default=0) >= 0 for e in p.terms)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(RankMismatchError):
@@ -223,3 +243,20 @@ class TestEvalProduct:
     def test_mismatched_ranks_rejected(self):
         with pytest.raises(RankMismatchError):
             eval_product([(LinearForm([1]), 1), (LinearForm([1, 0]), 1)])
+
+    def test_matches_sympy_expansion(self):
+        # Independent oracle: sympy expands the same product of linear forms.
+        rng = random.Random(2718)
+        for case in range(150):
+            rank = rng.randint(1, 3)
+            ws = sympy.symbols(f"w1:{rank + 1}")
+            factors = []
+            for _ in range(rng.randint(0, 4)):
+                coeffs = [0] * rank if rng.random() < 0.1 else [rng.randint(-3, 3) for _ in range(rank)]
+                factors.append((LinearForm(coeffs), rng.randint(0, 6)))
+            expr = sympy.Integer(1)
+            for form, e in factors:
+                expr *= sum((c * w for c, w in zip(form.coeffs, ws)), sympy.Integer(0)) ** e
+            expanded = sympy.Poly(sympy.expand(expr), *ws)
+            expected = {exps: int(c) for exps, c in expanded.terms() if c}
+            assert eval_product(factors, rank=rank).terms == expected, (case, factors)
