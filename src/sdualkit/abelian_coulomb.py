@@ -18,11 +18,20 @@ sum_j |<a_j, lam>| / 2 (half-integers are stored doubled), with each w of
 degree one. Multiplicative matter kills every class whose cocharacter fails
 to annihilate its weights, so those theories reduce to the kernel
 sublattice.
+
+The engine works on pairings: since <a_j, lam + mu> = <a_j, lam> + <a_j, mu>,
+the exponents d_j of a product need only the pairing tuples of lam and mu,
+and each cocharacter's tuple is computed once per call. A structure-constant
+table expands each distinct exponent vector once, through a dict local to
+the call (most entries repeat one), and keeps nothing after it returns.
+Products and sums of elements are built without re-validation, since sums
+of annihilating cocharacters annihilate.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, mul
 from typing import Sequence
 
 from . import spaces
@@ -167,6 +176,16 @@ class CoulombElement:
             clean[lam] = coeff
         self.support = clean
 
+    @classmethod
+    def _trusted(cls, theory: TorusTheory, support: dict) -> "CoulombElement":
+        """Wrap a support that is already clean: cocharacter tuples of the
+        theory's rank that annihilate its multiplicative weights, mapped to
+        nonzero coefficients of that rank. Internal results only."""
+        x = object.__new__(cls)
+        x.theory = theory
+        x.support = support
+        return x
+
     def is_zero(self) -> bool:
         return not self.support
 
@@ -175,14 +194,20 @@ class CoulombElement:
             raise ValueError("elements belong to different theories")
 
     def __add__(self, other: "CoulombElement") -> "CoulombElement":
+        # Both supports are clean, so only a cancelled coefficient can be dropped.
         self._check_same(other)
         acc = dict(self.support)
         for lam, coeff in other.support.items():
-            acc[lam] = acc.get(lam, Polynomial.zero(self.theory.rank)) + coeff
-        return CoulombElement(self.theory, acc)
+            if lam in acc:
+                coeff = acc[lam] + coeff
+                if coeff.is_zero():
+                    del acc[lam]
+                    continue
+            acc[lam] = coeff
+        return CoulombElement._trusted(self.theory, acc)
 
     def __neg__(self) -> "CoulombElement":
-        return CoulombElement(self.theory, {lam: -c for lam, c in self.support.items()})
+        return CoulombElement._trusted(self.theory, {lam: -c for lam, c in self.support.items()})
 
     def __sub__(self, other: "CoulombElement") -> "CoulombElement":
         return self + (-other)
@@ -191,7 +216,8 @@ class CoulombElement:
         if isinstance(other, CoulombElement):
             return multiply(self.theory, self, other)
         if isinstance(other, (int, Polynomial)):
-            return CoulombElement(self.theory, {lam: c * other for lam, c in self.support.items()})
+            scaled = ((lam, c * other) for lam, c in self.support.items())
+            return CoulombElement._trusted(self.theory, {lam: c for lam, c in scaled if c.terms})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -221,11 +247,12 @@ class CoulombElement:
     def __str__(self) -> str:
         if not self.support:
             return "0"
+        unit = {(0,) * self.theory.rank: 1}
         parts = []
         for lam in sorted(self.support):
             coeff = self.support[lam]
             label = "r[" + ",".join(str(x) for x in lam) + "]"
-            if coeff == Polynomial.one(self.theory.rank):
+            if coeff.terms == unit:
                 parts.append(label)
             elif len(coeff.terms) == 1:
                 parts.append(f"{coeff}*{label}")
@@ -237,38 +264,53 @@ class CoulombElement:
         return f"<CoulombElement {self}>"
 
 
-def structure_exponents(theory: TorusTheory, lam: Sequence[int], mu: Sequence[int]) -> tuple[int, ...]:
-    """Exponents d_j of the structure constant for r[lam] * r[mu].
+def _pairings(forms: Sequence[LinearForm], lam: Cochar) -> tuple[int, ...]:
+    """The pairings <a_j, lam>, one per form."""
+    return tuple(sum(map(mul, a.coeffs, lam)) for a in forms)
 
-    Each d_j = (|<a_j,lam>| + |<a_j,mu>| - |<a_j,lam+mu>|) / 2 is a
-    nonnegative integer by the triangle inequality.
+
+def _exponents(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """d_j = (|p_j| + |q_j| - |p_j + q_j|) / 2 for pairings p = <a, lam>, q = <a, mu>.
+
+    <a_j, lam + mu> = p_j + q_j, so the pairings of lam and mu are all the
+    rule needs. Each d_j is a nonnegative integer by the triangle inequality.
     """
-    lam = theory._check_cochar(lam)
-    mu = theory._check_cochar(mu)
-    out = []
-    for a in theory.linear_weights:
-        p, q = a.pairing(lam), a.pairing(mu)
-        out.append((abs(p) + abs(q) - abs(p + q)) // 2)
-    return tuple(out)
+    return tuple((abs(x) + abs(y) - abs(x + y)) >> 1 for x, y in zip(p, q))
+
+
+def structure_exponents(theory: TorusTheory, lam: Sequence[int], mu: Sequence[int]) -> tuple[int, ...]:
+    """Exponents d_j of the structure constant for r[lam] * r[mu]."""
+    forms = theory.linear_weights
+    return _exponents(
+        _pairings(forms, theory._check_cochar(lam)), _pairings(forms, theory._check_cochar(mu))
+    )
 
 
 def structure_factor(theory: TorusTheory, lam: Sequence[int], mu: Sequence[int]) -> Polynomial:
     """The structure constant prod_j a_j(w)^{d_j} of r[lam] * r[mu]."""
     exponents = structure_exponents(theory, lam, mu)
-    return eval_product(list(zip(theory.linear_weights, exponents)), rank=theory.rank)
+    return eval_product(zip(theory.linear_weights, exponents), rank=theory.rank)
 
 
 def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> CoulombElement:
-    """Convolution product, extended bilinearly from the basis classes."""
+    """Convolution product, extended bilinearly from the basis classes.
+
+    Both supports annihilate the multiplicative weights, so every sum of
+    their cocharacters does too, and the result is built without
+    re-validation.
+    """
     if x.theory != theory or y.theory != theory:
         raise ValueError("elements do not belong to the given theory")
+    forms, rank = theory.linear_weights, theory.rank
+    right = [(mu, q, _pairings(forms, mu)) for mu, q in y.support.items()]
     acc: dict[Cochar, Polynomial] = {}
     for lam, p in x.support.items():
-        for mu, q in y.support.items():
-            key = tuple(a + b for a, b in zip(lam, mu))
-            term = p * q * structure_factor(theory, lam, mu)
-            acc[key] = acc.get(key, Polynomial.zero(theory.rank)) + term
-    return CoulombElement(theory, acc)
+        at_lam = _pairings(forms, lam)
+        for mu, q, at_mu in right:
+            key = tuple(map(add, lam, mu))
+            term = p * q * eval_product(zip(forms, _exponents(at_lam, at_mu)), rank=rank)
+            acc[key] = acc[key] + term if key in acc else term
+    return CoulombElement._trusted(theory, {key: c for key, c in acc.items() if c.terms})
 
 
 def reduce_multiplicative(theory: TorusTheory) -> tuple[TorusTheory, tuple[Cochar, ...]]:
@@ -394,8 +436,24 @@ def structure_constant_table(
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    box = [lam for lam in cochar_box(theory.rank, cutoff) if theory.annihilates_multiplicative(lam)]
-    return [(lam, mu, structure_factor(theory, lam, mu)) for lam in box for mu in box]
+    forms, rank = theory.linear_weights, theory.rank
+    box = [
+        (lam, _pairings(forms, lam))
+        for lam in cochar_box(rank, cutoff)
+        if theory.annihilates_multiplicative(lam)
+    ]
+    # Most entries repeat an exponent vector; each distinct one is expanded
+    # once, and the dict goes with the call.
+    factors: dict[tuple[int, ...], Polynomial] = {}
+    table = []
+    for lam, at_lam in box:
+        for mu, at_mu in box:
+            exponents = _exponents(at_lam, at_mu)
+            factor = factors.get(exponents)
+            if factor is None:
+                factor = factors[exponents] = eval_product(zip(forms, exponents), rank=rank)
+            table.append((lam, mu, factor))
+    return table
 
 
 def sdual_torus(theory: TorusTheory) -> spaces.SpaceDescriptor:

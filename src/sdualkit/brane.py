@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import strict_ints
+from .exactalg import strict_ints, text_int
 from .partitions import chain_to_orbit
 
 
@@ -71,7 +71,7 @@ class BraneDiagram:
         branes = []
         for i, tok in enumerate(tokens):
             if i % 2 == 0:
-                dims.append(int(tok))
+                dims.append(text_int(tok, "segment dimension"))
             else:
                 branes.append(tok)
         return cls(branes, dims)

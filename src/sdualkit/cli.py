@@ -10,13 +10,14 @@ import argparse
 import json
 import sys
 
-from . import brane, spaces, verify
+from . import brane, spaces
 from .abelian_coulomb import (
     RankTooHighError,
     TorusTheory,
     present_rank1,
     structure_constant_table,
 )
+from .exactalg import text_int
 from .partitions import (
     Partition,
     centralizer_dim,
@@ -116,7 +117,7 @@ def _cmd_diagram(args) -> int:
     if args.action == "hw":
         if len(args.args) != 2:
             raise ValueError("usage: diagram hw <index> <diagram>")
-        index = int(args.args[0])
+        index = text_int(args.args[0], "move index")
         diagram = brane.BraneDiagram.parse(args.args[1])
         result = brane.hw_move(diagram, index)
         print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
@@ -136,7 +137,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_orbit(args) -> int:
     if args.action == "chain":
         text = ",".join(args.args)
-        dims = [int(tok) for tok in text.replace(",", " ").split()]
+        dims = [text_int(tok, "chain entry") for tok in text.replace(",", " ").split()]
         # The orbit-closure reading, printed even where it is a point (all parts 1).
         lam = chain_to_orbit(dims)
         if args.json:
@@ -181,6 +182,8 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this subcommand pays for importing the suite
+
     results = verify.run_checks(name_filter=args.filter, seed=args.seed)
     if not results:
         names = ", ".join(name for name, _ in verify.CHECKS)
@@ -220,7 +223,7 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
             if op == "hw":
                 if len(tokens) != 2:
                     raise ValueError("usage: hw <index>")
-                history.append(brane.hw_move(history[-1], int(tokens[1])))
+                history.append(brane.hw_move(history[-1], text_int(tokens[1], "move index")))
             elif op == "sdual":
                 history.append(brane.sdual(history[-1]))
             elif op == "undo":

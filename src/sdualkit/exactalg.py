@@ -7,7 +7,7 @@ golden tests.
 
 from __future__ import annotations
 
-from math import comb
+from math import prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -28,6 +28,18 @@ def strict_ints(values, what: str) -> list[int]:
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
     return [strict_int(v, what) for v in values]
+
+
+def text_int(token: str, what: str = "integer") -> int:
+    """The integer written in ``token`` as ASCII ``-?[0-9]+``.
+
+    Underscores, signs other than a leading minus, whitespace and non-ASCII
+    digits, all of which ``int()`` accepts, raise ValueError.
+    """
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be an integer written in ASCII digits, got {token!r}")
+    return int(token)
 
 
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -111,15 +123,16 @@ class Polynomial:
 
     @classmethod
     def constant(cls, rank: int, value: int) -> "Polynomial":
-        return cls(rank, {(0,) * rank: int(value)})
+        value = int(value)
+        return cls._trusted(rank, {(0,) * rank: value} if value else {})
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        return cls(rank)
+        return cls._trusted(rank, {})
 
     @classmethod
     def one(cls, rank: int) -> "Polynomial":
-        return cls.constant(rank, 1)
+        return cls._trusted(rank, {(0,) * rank: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -242,47 +255,77 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
-def _linear_power(rank: int, support: list[tuple[int, int]], exponent: int) -> dict:
-    """Terms of (sum_i c_i w_i)^exponent over ``support`` = [(i, c_i != 0)].
+def _balanced_digits(value: int, k: int, count: int):
+    """(position, digit) for the nonzero balanced base-2^k digits of ``value``.
 
-    Multinomial theorem, one binomial split per variable:
-    (c w_i + rest)^e = sum_k C(e, k) c^k w_i^k rest^(e - k). Distinct splits
-    give distinct exponents and nonzero coefficients, so the terms are clean.
+    ``k`` is a multiple of 8. Digits lie in [-2^(k-1), 2^(k-1)), least
+    significant first, and there are at most ``count`` of them. The low
+    ``k * count`` bits of the two's complement give the plain digits; a
+    plain digit at or above 2^(k-1) is taken as negative and borrows one
+    from the next position.
     """
-    (i, c), rest = support[0], support[1:]
-    if not rest:
-        exps = [0] * rank
-        exps[i] = exponent
-        return {tuple(exps): c**exponent}
-    out = {}
-    for k in range(exponent + 1):
-        head = comb(exponent, k) * c**k
-        for e, coeff in _linear_power(rank, rest, exponent - k).items():
-            out[e[:i] + (k,) + e[i + 1 :]] = head * coeff
-    return out
+    size = k // 8
+    data = (value & ((1 << (k * count)) - 1)).to_bytes(size * count, "little")
+    half, full = 1 << (k - 1), 1 << k
+    borrow = 0
+    for position, start in enumerate(range(0, size * count, size)):
+        digit = int.from_bytes(data[start : start + size], "little") + borrow
+        borrow = digit >= half
+        if borrow:
+            digit -= full
+        if digit:
+            yield position, digit
 
 
 def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = None) -> Polynomial:
-    """Expand prod_j a_j(w)^{e_j} exactly.
+    """Expand prod_j a_j(w)^{e_j} exactly, by Kronecker substitution.
 
-    Each power is expanded by the multinomial theorem over the nonzero
-    coefficients of a_j. ``rank`` is only needed to disambiguate the empty
-    product.
+    The product is homogeneous of degree D = sum_j e_j, so setting the last
+    variable to 1 loses nothing, and every other exponent is at most D.
+    Mapping w_i to X^((D+1)^(i-1)) with X = 2^k then packs the coefficient
+    of each monomial into its own base-X digit of one big integer,
+    prod_j a_j(X, X^(D+1), ..., 1)^{e_j}. Every coefficient is at most
+    B = prod_j (sum_i |c_ji|)^{e_j} in absolute value (the product of the
+    forms with |c| in place of c, at w = 1, bounds it term by term), so
+    k = bitlength(B) + 1, rounded up to whole bytes, keeps each balanced
+    digit exact. In rank one the
+    product is the single monomial prod_j c_j^{e_j} w^D. ``rank`` is only
+    needed to disambiguate the empty product.
     """
     factors = list(factors)
     if rank is None:
         if not factors:
             raise ValueError("rank is required for an empty product")
         rank = factors[0][0].rank
-    terms = {(0,) * rank: 1}
+    degree, bound = 0, 1
     for form, exponent in factors:
         if form.rank != rank:
             raise RankMismatchError(f"form rank {form.rank} != {rank}")
         if exponent < 0:
             raise ValueError("exponents must be nonnegative")
-        if exponent and terms:
-            support = [(i, c) for i, c in enumerate(form.coeffs) if c]
-            terms = _mul_terms(terms, _linear_power(rank, support, exponent)) if support else {}
+        degree += exponent
+        bound *= sum(map(abs, form.coeffs)) ** exponent
+    if not bound:
+        return Polynomial._trusted(rank, {})
+    if rank <= 1:
+        coeff = prod(c**exponent for form, exponent in factors for c in form.coeffs)
+        return Polynomial._trusted(rank, {(degree,) * rank: coeff})
+    k = (bound.bit_length() + 8) // 8 * 8
+    base = degree + 1
+    shifts = [k * base**i for i in range(rank - 1)]
+    value = 1
+    for form, exponent in factors:
+        if exponent:
+            *head, last = form.coeffs
+            value *= (last + sum(c << s for c, s in zip(head, shifts))) ** exponent
+    terms = {}
+    for position, coeff in _balanced_digits(value, k, base ** (rank - 1)):
+        exps = []
+        for _ in range(rank - 1):
+            position, e = divmod(position, base)
+            exps.append(e)
+        exps.append(degree - sum(exps))
+        terms[tuple(exps)] = coeff
     return Polynomial._trusted(rank, terms)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import IntegerMatrix, integer_rank
+from .exactalg import IntegerMatrix, integer_rank, text_int
 
 
 class InconsistentChainError(ValueError):
@@ -31,7 +31,7 @@ class Partition:
         inner = text[1:-1].strip()
         if not inner:
             return cls(())
-        return cls(int(piece) for piece in inner.split(","))
+        return cls(text_int(piece.strip(), "partition part") for piece in inner.split(","))
 
     @property
     def n(self) -> int:

@@ -51,6 +51,11 @@ class TestDiagramBasics:
         with pytest.raises(ValueError):
             BraneDiagram.parse("0 o 1 x")
 
+    def test_parse_reads_ascii_integers_only(self):
+        for text in ("0 o 1_0 o 0", "0 o \u0663 o 0", "+0 o 1 o 0", "0 o 1.0 o 0"):
+            with pytest.raises(ValueError, match="segment dimension must be an integer"):
+                BraneDiagram.parse(text)
+
     def test_validation_messages(self):
         cases = [
             ((["z"], [0, 0]), "brane symbols must be 'o' or 'x'"),

@@ -138,6 +138,12 @@ class TestDiagramCommand:
         code, _, _ = run_cli(["diagram", "hw", "7", "0 o 1 x 0"], capsys)
         assert code == 3
 
+    def test_non_integer_text_exit_2(self, capsys):
+        for argv in (["hw", "0_0", "0 o 1 x 0"], ["hw", "+0", "0 o 1 x 0"], ["sdual", "0 o 1_0 x 0"]):
+            code, out, err = run_cli(["diagram", *argv], capsys)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error:"), argv
+
 
 class TestOrbitCommand:
     def test_chain(self, capsys):
@@ -163,6 +169,23 @@ class TestOrbitCommand:
     def test_bad_partition_exit_2(self, capsys):
         code, _, _ = run_cli(["orbit", "dual", "4,2"], capsys)
         assert code == 2
+
+    def test_chain_underscore_exit_2(self, capsys):
+        # int() reads "1_0" as 10
+        code, out, err = run_cli(["orbit", "chain", "0,1_0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_chain_non_ascii_digit_exit_2(self, capsys):
+        # int() reads the Arabic-Indic digit three as 3
+        code, out, err = run_cli(["orbit", "chain", "0,\u0663"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_dual_non_ascii_digit_exit_2(self, capsys):
+        code, out, err = run_cli(["orbit", "dual", "[\u0663,1]"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_json(self, capsys):
         code, out, _ = run_cli(["orbit", "--json", "chain", "0,1,2"], capsys)
@@ -283,6 +306,13 @@ class TestRepl:
         assert lines[-3] == "0 9 0"
         assert lines[-2] == "0 o 9 x 0"
 
+    def test_non_integer_index_is_an_error(self):
+        lines = self.run_transcript("0 o 1 x 1 x 1 o 0", "hw \u0660\nhw 0_0\n")
+        assert [line for line in lines if line.startswith("error:")] == [
+            "error: move index must be an integer written in ASCII digits, got '\u0660'",
+            "error: move index must be an integer written in ASCII digits, got '0_0'",
+        ]
+
     def test_replay_reproduces_state(self):
         script = "hw 0\nsdual\nhw 1\nundo\nsdual\n"
         first = self.run_transcript("0 o 1 x 1 x 1 o 0", script)
@@ -317,3 +347,15 @@ class TestSubprocess:
         assert lines[0] == "0 o 1 x 1 x 1 o 0"
         assert lines[2] == "0 x 1 o 1 x 1 o 0"
         assert lines[4] == "0 o 1 x 1 x 1 o 0"
+
+    def test_import_leaves_verify_unloaded(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sdualkit.cli; print('sdualkit.verify' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -260,3 +260,51 @@ class TestEvalProduct:
             expanded = sympy.Poly(sympy.expand(expr), *ws)
             expected = {exps: int(c) for exps, c in expanded.terms() if c}
             assert eval_product(factors, rank=rank).terms == expected, (case, factors)
+
+    def _sympy_terms(self, factors, rank):
+        if rank == 0:
+            return {} if any(e for _, e in factors) else {(): 1}
+        ws = sympy.symbols(f"w1:{rank + 1}")
+        poly = sympy.Poly(1, *ws)
+        for form, e in factors:
+            poly *= sympy.Poly(sum(c * w for c, w in zip(form.coeffs, ws)), *ws) ** e
+        return {exps: int(c) for exps, c in poly.terms() if c}
+
+    def test_kronecker_large_coefficients_borrow(self):
+        # Coefficients up to +-40 give negative digits that borrow across limbs.
+        rng = random.Random(4040)
+        for case in range(40):
+            rank = rng.randint(2, 4)
+            factors = [
+                (LinearForm([rng.randint(-40, 40) for _ in range(rank)]), rng.randint(1, 10))
+                for _ in range(rng.randint(1, 3))
+            ]
+            assert eval_product(factors, rank=rank).terms == self._sympy_terms(factors, rank), (case, factors)
+
+    def test_kronecker_edge_forms(self):
+        cases = [
+            # last coefficient 0: the substituted variable does not appear
+            (3, [([2, -1, 0], 3), ([0, 5, 0], 2)]),
+            (2, [([-7, 0], 4), ([1, -1], 3)]),
+            # single-entry forms
+            (1, [([-3], 5)]),
+            (3, [([0, 0, -2], 7)]),
+            (4, [([0, 9, 0, 0], 2), ([0, 0, 0, 1], 3)]),
+            # a zero form with positive exponent kills the product
+            (3, [([1, 2, 3], 2), ([0, 0, 0], 1)]),
+            (1, [([0], 3)]),
+            # ... and with exponent zero leaves it alone
+            (2, [([1, -1], 2), ([0, 0], 0)]),
+            # the empty product and rank 0
+            (3, []),
+            (0, []),
+            (0, [([], 0)]),
+            (0, [([], 2)]),
+        ]
+        for rank, spec in cases:
+            factors = [(LinearForm(c), e) for c, e in spec]
+            got = eval_product(factors, rank=rank)
+            assert got.rank == rank
+            assert got.terms == self._sympy_terms(factors, rank), (rank, spec)
+        assert eval_product([(LinearForm([1, 2, 3]), 2), (LinearForm([0, 0, 0]), 1)]).is_zero()
+        assert eval_product([], rank=0) == Polynomial.one(0)

@@ -61,6 +61,12 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             Partition.parse("3,1")
 
+    def test_parse_reads_ascii_integers_only(self):
+        assert Partition.parse("[ 3, 1 ]") == Partition([3, 1])
+        for text in ("[1_0]", "[\u0663,1]", "[+3]", "[3,]", "[3.0]"):
+            with pytest.raises(ValueError):
+                Partition.parse(text)
+
 
 class TestTranspose:
     def test_row_to_column(self):
