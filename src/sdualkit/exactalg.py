@@ -123,16 +123,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, rank: int, value: int) -> "Polynomial":
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
         value = int(value)
         return cls._trusted(rank, {(0,) * rank: value} if value else {})
 
     @classmethod
     def zero(cls, rank: int) -> "Polynomial":
-        return cls._trusted(rank, {})
+        return cls.constant(rank, 0)
 
     @classmethod
     def one(cls, rank: int) -> "Polynomial":
-        return cls._trusted(rank, {(0,) * rank: 1})
+        return cls.constant(rank, 1)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -197,6 +197,14 @@ class TestPolynomial:
         with pytest.raises(RankMismatchError):
             Polynomial.one(1) + Polynomial.one(2)
 
+    def test_constants(self):
+        assert Polynomial.constant(2, 0).terms == {} == Polynomial.zero(2).terms
+        assert Polynomial.constant(2, -3).terms == {(0, 0): -3}
+        assert Polynomial.one(0).terms == {(): 1}
+        for build in (Polynomial.zero, Polynomial.one):
+            with pytest.raises(ValueError):
+                build(-1)
+
     def test_homogeneous_degree(self):
         assert Polynomial(2, {(1, 1): 3, (2, 0): -1}).homogeneous_degree() == 2
         assert Polynomial(2, {(1, 0): 1, (0, 2): 1}).homogeneous_degree() is None
