@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import strict_ints, text_int
+from .exactalg import strict_ints, text_ints
 from .partitions import chain_to_orbit
 
 
@@ -67,14 +67,7 @@ class BraneDiagram:
         tokens = text.split()
         if len(tokens) % 2 == 0:
             raise ValueError("diagram text must interleave dims and branes")
-        dims = []
-        branes = []
-        for i, tok in enumerate(tokens):
-            if i % 2 == 0:
-                dims.append(text_int(tok, "segment dimension"))
-            else:
-                branes.append(tok)
-        return cls(branes, dims)
+        return cls(tokens[1::2], text_ints(tokens[0::2], "segment dimension"))
 
     def render(self) -> str:
         pieces = [str(self.dims[0])]

@@ -17,7 +17,7 @@ from .abelian_coulomb import (
     present_rank1,
     structure_constant_table,
 )
-from .exactalg import text_int
+from .exactalg import text_ints
 from .partitions import (
     Partition,
     centralizer_dim,
@@ -117,7 +117,7 @@ def _cmd_diagram(args) -> int:
     if args.action == "hw":
         if len(args.args) != 2:
             raise ValueError("usage: diagram hw <index> <diagram>")
-        index = text_int(args.args[0], "move index")
+        (index,) = text_ints(args.args[:1], "move index")
         diagram = brane.BraneDiagram.parse(args.args[1])
         result = brane.hw_move(diagram, index)
         print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
@@ -137,7 +137,7 @@ def _cmd_diagram(args) -> int:
 def _cmd_orbit(args) -> int:
     if args.action == "chain":
         text = ",".join(args.args)
-        dims = [text_int(tok, "chain entry") for tok in text.replace(",", " ").split()]
+        dims = text_ints(text.replace(",", " ").split(), "chain entry")
         # The orbit-closure reading, printed even where it is a point (all parts 1).
         lam = chain_to_orbit(dims)
         if args.json:
@@ -223,7 +223,8 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
             if op == "hw":
                 if len(tokens) != 2:
                     raise ValueError("usage: hw <index>")
-                history.append(brane.hw_move(history[-1], text_int(tokens[1], "move index")))
+                (index,) = text_ints(tokens[1:], "move index")
+                history.append(brane.hw_move(history[-1], index))
             elif op == "sdual":
                 history.append(brane.sdual(history[-1]))
             elif op == "undo":

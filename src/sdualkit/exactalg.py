@@ -30,16 +30,16 @@ def strict_ints(values, what: str) -> list[int]:
     return [strict_int(v, what) for v in values]
 
 
-def text_int(token: str, what: str = "integer") -> int:
-    """The integer written in ``token`` as ASCII ``-?[0-9]+``.
+def text_ints(tokens: Sequence[str], what: str) -> list[int]:
+    """The integers written in ``tokens``, each as ASCII ``-?[0-9]+``.
 
-    Underscores, signs other than a leading minus, whitespace and non-ASCII
-    digits, all of which ``int()`` accepts, raise ValueError.
+    Underscores, a plus sign, whitespace and non-ASCII digits, all of which
+    ``int()`` accepts, raise ValueError.
     """
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{what} must be an integer written in ASCII digits, got {token!r}")
-    return int(token)
+    for tok in tokens:
+        if not (tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit())):
+            raise ValueError(f"{what} must be an integer written in ASCII digits, got {tok!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _extgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -290,9 +290,9 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = N
     B = prod_j (sum_i |c_ji|)^{e_j} in absolute value (the product of the
     forms with |c| in place of c, at w = 1, bounds it term by term), so
     k = bitlength(B) + 1, rounded up to whole bytes, keeps each balanced
-    digit exact. In rank one the
-    product is the single monomial prod_j c_j^{e_j} w^D. ``rank`` is only
-    needed to disambiguate the empty product.
+    digit exact. In rank one the product is the single monomial
+    prod_j c_j^{e_j} w^D. ``rank`` is only needed to disambiguate the empty
+    product.
     """
     factors = list(factors)
     if rank is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import IntegerMatrix, integer_rank, text_int
+from .exactalg import IntegerMatrix, integer_rank, text_ints
 
 
 class InconsistentChainError(ValueError):
@@ -31,7 +31,7 @@ class Partition:
         inner = text[1:-1].strip()
         if not inner:
             return cls(())
-        return cls(text_int(piece.strip(), "partition part") for piece in inner.split(","))
+        return cls(text_ints([piece.strip() for piece in inner.split(",")], "partition part"))
 
     @property
     def n(self) -> int:
