@@ -44,6 +44,7 @@ from .exactalg import (
     integer_kernel,
     strict_int,
     strict_ints,
+    strict_object,
 )
 
 
@@ -84,14 +85,7 @@ class TorusTheory:
 
     @classmethod
     def from_json(cls, data: dict) -> "TorusTheory":
-        if not isinstance(data, dict):
-            raise ValueError("theory document must be a JSON object")
-        allowed = {"rank", "linear_weights", "multiplicative_weights"}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)} in theory document")
-        if "rank" not in data:
-            raise ValueError("theory document requires a rank")
+        strict_object(data, "theory", ("rank",), ("linear_weights", "multiplicative_weights"))
         weights = []
         for key in ("linear_weights", "multiplicative_weights"):
             rows = data.get(key, [])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import strict_ints, text_ints
+from .exactalg import strict_ints, strict_object, text_ints
 from .partitions import chain_to_orbit
 
 
@@ -81,14 +81,7 @@ class BraneDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "BraneDiagram":
-        if not isinstance(data, dict):
-            raise ValueError("diagram document must be a JSON object")
-        if set(data) - {"branes", "dims"}:
-            raise ValueError("diagram document allows only 'branes' and 'dims'")
-        for key in ("branes", "dims"):
-            if key not in data:
-                raise ValueError(f"diagram document requires '{key}'")
-        branes = data["branes"]
+        branes = strict_object(data, "diagram", ("branes", "dims"), ())["branes"]
         if not isinstance(branes, list) or not all(isinstance(b, str) for b in branes):
             raise ValueError(f"diagram branes must be a list of strings, got {branes!r}")
         return cls(branes, strict_ints(data["dims"], "diagram dimension"))

@@ -1,20 +1,24 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 1 verification failure, 2 malformed input (a parse error, or a
-verify --filter that matches no check), 3 unsupported input.
+verify --filter that matches no check), 3 unsupported input, or a valid input
+above one of the bounds below.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import brane, spaces
 from .abelian_coulomb import (
     RankTooHighError,
     TorusTheory,
+    cochar_box,
     present_rank1,
+    reduce_multiplicative,
     structure_constant_table,
 )
 from .exactalg import text_ints
@@ -26,7 +30,76 @@ from .partitions import (
     transpose,
 )
 
+
+class TooLargeError(ValueError):
+    """A valid input above one of the bounds on a command's work."""
+
+
+# Bounds on one command's work. Each was set from a measurement so that the
+# slowest accepted input answers in about a second on a 2-vCPU machine.
+MAX_N = 7_000  # a partition's total, and every integer of a dual document but its dims
+MAX_CHAIN = 30  # the steps, and every entry, of an orbit chain
+MAX_BRANES = 6_000  # the branes of a diagram
+MAX_RANK = 16  # the rank of a theory
+MAX_WEIGHT = 1_024  # a theory's weight size, and a table's largest degree; see BOUNDS
+MAX_TABLE_TERMS = 40_000  # see BOUNDS
+
+BOUNDS = (
+    "Bounds (a valid input above one exits 3): "
+    f"a partition's total, {MAX_N}; every integer of a dual document but its dims, {MAX_N}; "
+    f"the steps and the entries of an orbit chain, {MAX_CHAIN}; the branes of a diagram, "
+    f"{MAX_BRANES}; the rank of a theory, {MAX_RANK}; the weight size of a theory presented "
+    "or dualized (the sum of the absolute values of its weights' entries), also after "
+    f"multiplicative reduction, {MAX_WEIGHT}; for --table, the cutoff times the weight size "
+    f"of the linear weights, {MAX_WEIGHT}, the cocharacters within the cutoff, "
+    f"{MAX_TABLE_TERMS}, and its terms, {MAX_TABLE_TERMS}, counting each product of two "
+    "cocharacters within the cutoff that annihilate the multiplicative weights as the "
+    "number of monomials of the table's largest degree in rank variables."
+)
+
+
+def _bound(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise TooLargeError(f"{what} {value} is above the bound {limit}")
+
+
+def _weight_size(weights) -> int:
+    return sum(abs(c) for w in weights for c in w.coeffs)
+
+
+def _check_theory(theory: TorusTheory) -> None:
+    """The bounds on a theory that is presented or dualized through its reduction."""
+    _bound("theory rank", theory.rank, MAX_RANK)
+    weights = theory.linear_weights + theory.multiplicative_weights
+    _bound("weight size", _weight_size(weights), MAX_WEIGHT)
+    reduced, _ = reduce_multiplicative(theory)
+    _bound("reduced weight size", _weight_size(reduced.linear_weights), MAX_WEIGHT)
+
+
+def _check_table(theory: TorusTheory, cutoff: int) -> None:
+    rank = theory.rank
+    _bound("theory rank", rank, MAX_RANK)
+    _bound("cochar box", (2 * cutoff + 1) ** rank, MAX_TABLE_TERMS)
+    # r[lam] * r[mu] has degree at most cutoff * sum_j |a_j|_1.
+    degree = cutoff * _weight_size(theory.linear_weights)
+    _bound("cutoff times linear weight size", degree, MAX_WEIGHT)
+    products = sum(map(theory.annihilates_multiplicative, cochar_box(rank, cutoff))) ** 2
+    monomials = math.comb(degree + rank - 1, rank - 1) if rank else 1
+    _bound("table size", products * monomials, MAX_TABLE_TERMS)
+
+
+def _integers(doc) -> list[int]:
+    """Every integer of a JSON document but those under a "dim" key."""
+    if isinstance(doc, dict):
+        return [n for key, value in doc.items() if key != "dim" for n in _integers(value)]
+    if isinstance(doc, list):
+        return [n for value in doc for n in _integers(value)]
+    return [abs(doc)] if type(doc) is int else []
+
+
 UNSUPPORTED = (
+    TooLargeError,
+    RecursionError,  # a document nested deeper than the interpreter recurses
     RankTooHighError,
     brane.UnsupportedDiagramError,
     brane.NonAdmissibleMoveError,
@@ -36,10 +109,18 @@ UNSUPPORTED = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with an ``error:`` line first, as every other malformed input does."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdualkit",
         description="Exact Coulomb-branch presentations, brane-diagram calculus, and S-dual pairs.",
+        epilog=BOUNDS,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -84,6 +165,7 @@ def _read_document(path: str) -> str:
 def _cmd_coulomb(args) -> int:
     theory = TorusTheory.from_json(json.loads(_read_document(args.input)))
     if args.table:
+        _check_table(theory, max(args.cutoff, 0))
         table = structure_constant_table(theory, cutoff=args.cutoff)
         if args.json:
             payload = [
@@ -101,6 +183,7 @@ def _cmd_coulomb(args) -> int:
                 else:
                     print(f"{left} = {poly} {right}")
         return 0
+    _check_theory(theory)
     try:
         presentation = present_rank1(theory)
     except RankTooHighError as exc:
@@ -113,18 +196,24 @@ def _cmd_coulomb(args) -> int:
     return 0
 
 
+def _diagram(text: str) -> brane.BraneDiagram:
+    diagram = brane.BraneDiagram.parse(text)
+    _bound("diagram length", len(diagram), MAX_BRANES)
+    return diagram
+
+
 def _cmd_diagram(args) -> int:
     if args.action == "hw":
         if len(args.args) != 2:
             raise ValueError("usage: diagram hw <index> <diagram>")
         (index,) = text_ints(args.args[:1], "move index")
-        diagram = brane.BraneDiagram.parse(args.args[1])
+        diagram = _diagram(args.args[1])
         result = brane.hw_move(diagram, index)
         print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
         return 0
     if len(args.args) != 1:
         raise ValueError(f"usage: diagram {args.action} <diagram>")
-    diagram = brane.BraneDiagram.parse(args.args[0])
+    diagram = _diagram(args.args[0])
     if args.action == "sdual":
         result = brane.sdual(diagram)
         print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
@@ -138,6 +227,8 @@ def _cmd_orbit(args) -> int:
     if args.action == "chain":
         text = ",".join(args.args)
         dims = text_ints(text.replace(",", " ").split(), "chain entry")
+        _bound("chain length", len(dims) - 1, MAX_CHAIN)
+        _bound("chain entry", max(dims, default=0), MAX_CHAIN)
         # The orbit-closure reading, printed even where it is a point (all parts 1).
         lam = chain_to_orbit(dims)
         if args.json:
@@ -154,6 +245,7 @@ def _cmd_orbit(args) -> int:
     if len(args.args) != 1:
         raise ValueError(f"usage: orbit {args.action} <partition>")
     lam = Partition.parse(args.args[0])
+    _bound("partition total", lam.n, MAX_N)
     if args.action == "dual":
         result = transpose(lam)
         print(json.dumps({"partition": list(result.parts)}, sort_keys=True) if args.json else str(result))
@@ -172,10 +264,13 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_dual(args) -> int:
     data = json.loads(_read_document(args.input))
+    _bound("document integer", max(_integers(data), default=0), MAX_N)
     if isinstance(data, dict) and "rank" in data and "kind" not in data:
         descriptor = spaces.SpaceDescriptor.cotangent_of_rep(theory=TorusTheory.from_json(data))
     else:
         descriptor = spaces.SpaceDescriptor.from_json(data)
+    if descriptor.theory is not None:
+        _check_theory(descriptor.theory)
     dual = spaces.sdual_pair(descriptor)
     print(json.dumps(dual.to_json(), sort_keys=True) if args.json else str(dual))
     return 0
@@ -245,7 +340,7 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
 
 
 def _cmd_repl(args) -> int:
-    diagram = brane.BraneDiagram.parse(args.diagram)
+    diagram = _diagram(args.diagram)
     return run_repl(diagram, sys.stdin, sys.stdout)
 
 

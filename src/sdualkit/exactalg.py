@@ -30,6 +30,22 @@ def strict_ints(values, what: str) -> list[int]:
     return [strict_int(v, what) for v in values]
 
 
+def strict_object(data, what: str, required: Iterable[str], optional: Iterable[str]) -> dict:
+    """``data`` if it is a JSON object holding every ``required`` key and no key
+    outside ``required`` and ``optional``; anything else raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} document must be a JSON object, got {data!r}")
+    required = tuple(required)
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} document requires {key!r}")
+    allowed = set(required).union(optional)
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {what} document")
+    return data
+
+
 def text_ints(tokens: Sequence[str], what: str) -> list[int]:
     """The integers written in ``tokens``, each as ASCII ``-?[0-9]+``.
 

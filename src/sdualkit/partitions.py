@@ -49,8 +49,6 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if isinstance(other, (tuple, list)):
-            return self.parts == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactalg import strict_int, strict_ints
+from .exactalg import strict_int, strict_ints, strict_object
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
@@ -116,35 +116,33 @@ class GroupDescriptor:
             return {"kind": "torus", "rank": self.size}
         return {"kind": "gl", "n": self.size}
 
+    # The one payload key of each kind's document, beside "kind".
+    JSON_KEYS = {"torus": "rank", "gl": "n", "product": "factors"}
+
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
-        kind = _object(data, "group").get("kind")
-        if kind == "torus":
-            return cls.torus(strict_int(_required(data, "rank", kind), "rank"))
-        if kind == "gl":
-            return cls.gl(strict_int(_required(data, "n", kind), "n"))
+        kind = _kind(data, "group", cls.JSON_KEYS)
+        key = cls.JSON_KEYS[kind]
+        value = strict_object(data, f"{kind} group", ("kind", key), ())[key]
         if kind == "product":
-            factors = _list(_required(data, "factors", kind), "factors")
-            return cls.product(cls.from_json(f) for f in factors)
-        raise ValueError(f"unknown group kind {kind!r}")
+            return cls.product(cls.from_json(f) for f in _list(value, key))
+        size = strict_int(value, key)
+        return cls.torus(size) if kind == "torus" else cls.gl(size)
 
 
-def _object(data, what: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} document must be a JSON object, got {data!r}")
-    return data
+def _kind(data, what: str, kinds) -> str:
+    """The "kind" of a ``what`` document, one of ``kinds``. Every other key
+    passes here; the reader checks them against the kind's own keys."""
+    kind = strict_object(data, what, ("kind",), data)["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return kind
 
 
 def _list(data, what: str) -> list:
     if not isinstance(data, list):
         raise ValueError(f"{what} must be a JSON list, got {data!r}")
     return data
-
-
-def _required(data: dict, key: str, kind: str):
-    if key not in data:
-        raise ValueError(f"{kind} document requires {key!r}")
-    return data[key]
 
 
 _TRIVIAL = GroupDescriptor.trivial()
@@ -160,29 +158,26 @@ class SpaceDescriptor:
     """
 
     # Per kind: the public constructor that rebuilds it, and its payload as
-    # (attribute, JSON key, constructor argument) triples. Every kind also
-    # carries dim, left_group, right_group and the FLAGS. to_json, from_json
-    # and _key all read this table.
+    # (attribute, JSON key) pairs; the JSON key also names the constructor's
+    # parameter. Every kind also carries dim, left_group, right_group and the
+    # FLAGS. to_json, from_json and _key all read this table.
     FIELDS = {
         "point": ("point", ()),
-        "cotangent_of_rep": (
-            "cotangent_of_rep",
-            (("rep_dims", "dims", "dims"), ("theory", "theory", "theory")),
-        ),
-        "cotangent_of_group": ("cotangent_of_group", (("group", "group", "g"),)),
+        "cotangent_of_rep": ("cotangent_of_rep", (("rep_dims", "dims"), ("theory", "theory"))),
+        "cotangent_of_group": ("cotangent_of_group", (("group", "group"),)),
         "group_times_slice": (
             "group_times_slice",
-            (("group", "group", "g"), ("partition", "partition", "lam")),
+            (("group", "group"), ("partition", "partition")),
         ),
         "orbit_closure": (
             "orbit_closure",
-            (("group", "group", "group"), ("partition", "partition", "lam"), ("size", "n", "n")),
+            (("group", "group"), ("partition", "partition"), ("size", "n")),
         ),
-        "type_A_singularity": ("type_a_singularity", (("index", "index", "index"),)),
-        "torus_cotangent": ("torus_cotangent", (("size", "rank", "r"),)),
-        "product": ("product_space", (("factors", "factors", "factors"),)),
-        "coulomb_branch": ("coulomb_branch", (("theory", "theory", "theory"),)),
-        "reduced": ("reduced", (("dim", "dim", "dim"),)),
+        "type_A_singularity": ("type_a_singularity", (("index", "index"),)),
+        "torus_cotangent": ("torus_cotangent", (("size", "rank"),)),
+        "product": ("product_space", (("factors", "factors"),)),
+        "coulomb_branch": ("coulomb_branch", (("theory", "theory"),)),
+        "reduced": ("reduced", (("dim", "dim"),)),
     }
     KINDS = tuple(FIELDS)
     # Payload keys a document may leave out: cotangent_of_rep takes exactly one
@@ -245,113 +240,93 @@ class SpaceDescriptor:
 
     @classmethod
     def point(
-        cls,
-        left_group: GroupDescriptor = _TRIVIAL,
-        right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
+        cls, left_group: GroupDescriptor = _TRIVIAL, right_group: GroupDescriptor = _TRIVIAL
     ) -> "SpaceDescriptor":
-        return cls(
-            "point", 0, left_group=left_group, right_group=right_group, conjecture=conjecture
-        )
+        return cls("point", 0, left_group=left_group, right_group=right_group)
 
     @classmethod
     def torus_cotangent(
         cls,
-        r: int,
+        rank: int,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
-        if r == 0:
+        if rank == 0:
             left = left_group if left_group is not None else _TRIVIAL
-            return cls.point(left, right_group=right_group, conjecture=conjecture)
-        left = left_group if left_group is not None else GroupDescriptor.torus(r)
+            return cls.point(left, right_group=right_group)
+        left = left_group if left_group is not None else GroupDescriptor.torus(rank)
         return cls(
-            "torus_cotangent",
-            2 * r,
-            left_group=left,
-            right_group=right_group,
-            size=r,
-            conjecture=conjecture,
+            "torus_cotangent", 2 * rank, left_group=left, right_group=right_group, size=rank
         )
 
     @classmethod
     def cotangent_of_group(
         cls,
-        g: GroupDescriptor,
+        group: GroupDescriptor,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
-        if g.kind == "torus":
-            return cls.torus_cotangent(
-                g.size, left_group=left_group, right_group=right_group, conjecture=conjecture
-            )
-        if g.kind != "gl":
+        if group.kind == "torus":
+            return cls.torus_cotangent(group.size, left_group=left_group, right_group=right_group)
+        if group.kind != "gl":
             raise ValueError("cotangent_of_group supports torus and gl groups")
-        left = left_group if left_group is not None else g
+        left = left_group if left_group is not None else group
         return cls(
             "cotangent_of_group",
-            2 * g.dim,
+            2 * group.dim,
             left_group=left,
             right_group=right_group,
-            group=g,
-            conjecture=conjecture,
+            group=group,
         )
 
     @classmethod
     def group_times_slice(
         cls,
-        g: GroupDescriptor,
-        lam,
+        group: GroupDescriptor,
+        partition,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
-        if g.kind == "torus":
+        if group.kind == "torus":
             # The principal slice of a torus is its whole Lie algebra.
-            return cls.torus_cotangent(
-                g.size, left_group=left_group, right_group=right_group, conjecture=conjecture
-            )
-        if g.kind != "gl":
+            return cls.torus_cotangent(group.size, left_group=left_group, right_group=right_group)
+        if group.kind != "gl":
             raise ValueError("group_times_slice supports torus and gl groups")
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
-        if lam.n != g.size:
-            raise ValueError(f"slice type {lam} is not a partition of {g.size}")
-        if right_group.is_trivial and lam == Partition((1,) * g.size):
+        lam = partition if isinstance(partition, Partition) else Partition(partition)
+        if lam.n != group.size:
+            raise ValueError(f"slice type {lam} is not a partition of {group.size}")
+        if right_group.is_trivial and lam == Partition((1,) * group.size):
             # The slice through the zero nilpotent is all of gl_n.
-            return cls.cotangent_of_group(g, left_group=left_group, conjecture=conjecture)
-        left = left_group if left_group is not None else g
+            return cls.cotangent_of_group(group, left_group=left_group)
+        left = left_group if left_group is not None else group
         return cls(
             "group_times_slice",
-            g.dim + centralizer_dim(lam),
+            group.dim + centralizer_dim(lam),
             left_group=left,
             right_group=right_group,
-            group=g,
+            group=group,
             partition=lam,
-            conjecture=conjecture,
         )
 
     @classmethod
     def orbit_closure(
         cls,
         n: int,
-        lam,
+        partition,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
         group: GroupDescriptor | None = None,
     ) -> "SpaceDescriptor":
-        """The closure of the orbit of Jordan type lam in gl(n); ``group``, if
-        given, must be gl(n), checked even where the closure is the point."""
-        lam = lam if isinstance(lam, Partition) else Partition(lam)
+        """The closure of the orbit of Jordan type ``partition`` in gl(n); ``group``,
+        if given, must be gl(n), checked even where the closure is the point."""
+        lam = partition if isinstance(partition, Partition) else Partition(partition)
         if lam.n != n:
             raise ValueError(f"{lam} is not a partition of {n}")
         if group is not None and group != GroupDescriptor.gl(n):
             raise ValueError(f"the orbit closure of {lam} has group GL({n}), not {group}")
         left = left_group if left_group is not None else GroupDescriptor.gl(n)
         if lam == Partition((1,) * n):
-            return cls.point(left, right_group=right_group, conjecture=conjecture)
+            return cls.point(left, right_group=right_group)
         return cls(
             "orbit_closure",
             orbit_dim(lam),
@@ -360,12 +335,11 @@ class SpaceDescriptor:
             group=GroupDescriptor.gl(n),
             partition=lam,
             size=n,
-            conjecture=conjecture,
         )
 
     @classmethod
-    def nilpotent_cone(cls, n: int, conjecture: bool = False) -> "SpaceDescriptor":
-        return cls.orbit_closure(n, Partition((n,) if n else ()), conjecture=conjecture)
+    def nilpotent_cone(cls, n: int) -> "SpaceDescriptor":
+        return cls.orbit_closure(n, Partition((n,) if n else ()))
 
     @classmethod
     def type_a_singularity(
@@ -373,17 +347,11 @@ class SpaceDescriptor:
         index: int,
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         if index < 1:
             raise ValueError("type A index must be at least 1")
         return cls(
-            "type_A_singularity",
-            2,
-            left_group=left_group,
-            right_group=right_group,
-            index=index,
-            conjecture=conjecture,
+            "type_A_singularity", 2, left_group=left_group, right_group=right_group, index=index
         )
 
     @classmethod
@@ -393,7 +361,6 @@ class SpaceDescriptor:
         theory=None,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor | None = None,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         if (dims is None) == (theory is None):
             raise ValueError("exactly one of dims / theory is required")
@@ -406,7 +373,6 @@ class SpaceDescriptor:
                 left_group=left,
                 right_group=right_group if right_group is not None else _TRIVIAL,
                 theory=theory,
-                conjecture=conjecture,
             )
         vi, vj = (int(d) for d in dims)
         if vi < 0 or vj < 0:
@@ -414,14 +380,9 @@ class SpaceDescriptor:
         left = left_group if left_group is not None else GroupDescriptor.gl(vi)
         right = right_group if right_group is not None else GroupDescriptor.gl(vj)
         if vi * vj == 0:
-            return cls.point(left, right_group=right, conjecture=conjecture)
+            return cls.point(left, right_group=right)
         return cls(
-            "cotangent_of_rep",
-            2 * vi * vj,
-            left_group=left,
-            right_group=right,
-            rep_dims=(vi, vj),
-            conjecture=conjecture,
+            "cotangent_of_rep", 2 * vi * vj, left_group=left, right_group=right, rep_dims=(vi, vj)
         )
 
     @classmethod
@@ -430,7 +391,6 @@ class SpaceDescriptor:
         theory,
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         left = left_group if left_group is not None else GroupDescriptor.torus(theory.rank)
         return cls(
@@ -439,7 +399,6 @@ class SpaceDescriptor:
             left_group=left,
             right_group=right_group,
             theory=theory,
-            conjecture=conjecture,
         )
 
     @classmethod
@@ -448,7 +407,6 @@ class SpaceDescriptor:
         factors,
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
-        conjecture: bool = False,
     ) -> "SpaceDescriptor":
         factors = tuple(factors)
         return cls(
@@ -457,7 +415,6 @@ class SpaceDescriptor:
             left_group=left_group,
             right_group=right_group,
             factors=factors,
-            conjecture=conjecture,
         )
 
     @classmethod
@@ -479,12 +436,12 @@ class SpaceDescriptor:
         )
 
     @classmethod
-    def m_circle(cls, vi: int, vj: int, conjecture: bool = False) -> "SpaceDescriptor":
+    def m_circle(cls, vi: int, vj: int) -> "SpaceDescriptor":
         """The two-sided space T*Hom(C^vi, C^vj)."""
-        return cls.cotangent_of_rep(dims=(vi, vj), conjecture=conjecture)
+        return cls.cotangent_of_rep(dims=(vi, vj))
 
     @classmethod
-    def m_cross(cls, vi: int, vj: int, conjecture: bool = False) -> "SpaceDescriptor":
+    def m_cross(cls, vi: int, vj: int) -> "SpaceDescriptor":
         """The two-sided slice-type building block attached to (vi, vj).
 
         For vi != vj it is GL(max) times the slice of hook type
@@ -493,25 +450,24 @@ class SpaceDescriptor:
         left, right = GroupDescriptor.gl(vi), GroupDescriptor.gl(vj)
         if vi == vj:
             if vi == 0:
-                return cls.point(left, right_group=right, conjecture=conjecture)
+                return cls.point(left, right_group=right)
             return cls.product_space(
                 (cls.cotangent_of_group(GroupDescriptor.gl(vi)), cls.cotangent_of_rep(dims=(1, vi))),
                 left_group=left,
                 right_group=right,
-                conjecture=conjecture,
             )
         carrier = GroupDescriptor.gl(max(vi, vj))
         lam = hook(abs(vi - vj), min(vi, vj))
-        return cls.group_times_slice(
-            carrier, lam, left_group=left, right_group=right, conjecture=conjecture
-        )
+        return cls.group_times_slice(carrier, lam, left_group=left, right_group=right)
 
     # ---- value semantics ----------------------------------------------
 
+    def _payload(self) -> tuple:
+        return tuple(getattr(self, attr) for attr, _ in self.FIELDS[self.kind][1])
+
     def _key(self):
-        payload = tuple(getattr(self, attr) for attr, _, _ in self.FIELDS[self.kind][1])
         flags = (self.conjecture, self.possibly_singular, self.right_twisted)
-        return (self.kind, self.dim, self.left_group, self.right_group, flags, payload)
+        return (self.kind, self.dim, self.left_group, self.right_group, flags, self._payload())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SpaceDescriptor) and self._key() == other._key()
@@ -569,7 +525,7 @@ class SpaceDescriptor:
             "left_group": self.left_group.to_json(),
             "right_group": self.right_group.to_json(),
         }
-        for attr, key, _ in self.FIELDS[self.kind][1]:
+        for attr, key in self.FIELDS[self.kind][1]:
             value = getattr(self, attr)
             if value is not None:
                 data[key] = _CODECS.get(attr, _INT)[0](value)
@@ -580,31 +536,38 @@ class SpaceDescriptor:
 
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
-        kind = _object(data, "space").get("kind")
-        if kind not in cls.FIELDS:
-            raise ValueError(f"unknown space kind {kind!r}")
+        kind = _kind(data, "space", cls.KINDS)
         constructor, fields = cls.FIELDS[kind]
-        args = {}
-        for attr, key, arg in fields:
-            if key in data or key not in cls.OPTIONAL.get(kind, ()):
-                args[arg] = _CODECS.get(attr, _INT)[1](_required(data, key, kind), key)
+        optional = cls.OPTIONAL.get(kind, ())
+        strict_object(
+            data,
+            kind,
+            ["kind"] + [key for _, key in fields if key not in optional],
+            [*optional, "dim", "left_group", "right_group", *cls.FLAGS],
+        )
+        args = {
+            key: _CODECS.get(attr, _INT)[1](data[key], key) for attr, key in fields if key in data
+        }
         for side in ("left_group", "right_group"):
             if side in data:
                 args[side] = GroupDescriptor.from_json(data[side])
-        built = getattr(cls, constructor)(**args)
-        # No constructor checks anything about the flags, so every kind takes
-        # them as written.
-        for flag in cls.FLAGS:
-            value = data.get(flag, False)
-            if not isinstance(value, bool):
-                raise ValueError(f"{flag} must be true or false, got {value!r}")
-            if value:
-                setattr(built, flag, True)
+        # No constructor reads a flag, so every kind takes them as written.
+        flags = {flag: data.get(flag, False) for flag in cls.FLAGS}
+        built = _flagged(getattr(cls, constructor)(**args), **flags)
         if "dim" in data and strict_int(data["dim"], "dim") != built.dim:
             raise ValueError(
                 f"stated dim {data['dim']!r} differs from dim {built.dim} of this {kind}"
             )
         return built
+
+
+def _flagged(m: SpaceDescriptor, **flags) -> SpaceDescriptor:
+    """``m``, just built and held by nothing else, with ``flags`` set."""
+    for flag, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"{flag} must be true or false, got {value!r}")
+        setattr(m, flag, value)
+    return m
 
 
 def orbit_closure_text(lam: Partition) -> str:
@@ -684,24 +647,15 @@ def compose(
 
 
 def _is_m_cross(m: SpaceDescriptor) -> tuple[int, int] | None:
-    """Recognize the two-sided slice block; returns (vi, vj) or None."""
+    """(vi, vj) if m is the block m_cross(vi, vj) between its gl actions, flags
+    aside; else None."""
     left, right = m.left_group, m.right_group
     if left.kind != "gl" or right.kind != "gl":
         return None
-    vi, vj = left.size, right.size
-    if m.kind == "group_times_slice":
-        if vi == vj:
-            return None
-        if m.group != GroupDescriptor.gl(max(vi, vj)):
-            return None
-        if m.partition != hook(abs(vi - vj), min(vi, vj)):
-            return None
-        return vi, vj
-    if m.kind == "product" and vi == vj and len(m.factors) == 2:
-        expected = SpaceDescriptor.m_cross(vi, vj)
-        if m.factors == expected.factors:
-            return vi, vj
-    return None
+    block = SpaceDescriptor.m_cross(left.size, right.size)
+    if (m.kind, m.dim, m._payload()) != (block.kind, block.dim, block._payload()):
+        return None
+    return left.size, right.size
 
 
 def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
@@ -743,7 +697,7 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
             return SpaceDescriptor.orbit_closure(m.group.size, transpose(m.partition))
         pair = _is_m_cross(m)
         if pair is not None:
-            return SpaceDescriptor.m_circle(*pair, conjecture=True)
+            return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
         raise NoKnownDualError("two-sided slice block not of hook shape")
 
     if m.kind == "orbit_closure":
@@ -755,13 +709,13 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
         if m.left_group == GroupDescriptor.gl(m.rep_dims[0]) and m.right_group == GroupDescriptor.gl(
             m.rep_dims[1]
         ):
-            return SpaceDescriptor.m_cross(*m.rep_dims, conjecture=True)
+            return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
         raise NoKnownDualError("cotangent of a two-sided rep needs gl actions on both sides")
 
     if m.kind == "product":
         pair = _is_m_cross(m)
         if pair is not None:
-            return SpaceDescriptor.m_circle(*pair, conjecture=True)
+            return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
         raise NoKnownDualError("product descriptor is not a recognized building block")
 
     raise NoKnownDualError(f"kind {m.kind!r} has no dual-pair entry")

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from sdualkit import cli
 from sdualkit.brane import BraneDiagram
 
@@ -67,6 +69,7 @@ class TestCoulombCommand:
             '{"rank":1,"linear_weights":[[1.5]]}',
             '{"rank":true}',
             '{"rank":null}',
+            '{"rank":1,"linear_weight":[[1]]}',
         ]
         for text in documents:
             code, _, err = run_cli(["coulomb", "-"], capsys, stdin=text, monkeypatch=monkeypatch)
@@ -237,6 +240,19 @@ class TestDualCommand:
             {"kind": "point", "conjecture": "no"},
             {"kind": "orbit_closure", "n": 3, "partition": [2, 1], "group": {"kind": "gl", "n": 7}},
             {"kind": "torus_cotangent", "rank": 2.7},
+            {"kind": []},
+            # unknown keys: a misspelled right group would read as an orbit closure
+            {
+                "kind": "group_times_slice",
+                "group": {"kind": "gl", "n": 3},
+                "partition": [2, 1],
+                "left_group": {"kind": "gl", "n": 3},
+                "right_grup": {"kind": "gl", "n": 1},
+            },
+            {"kind": "point", "left_group": {"kind": "gl", "n": 2, "rank": 1}},
+            {"kind": "point", "left_group": {"kind": "product", "factors": [], "n": 0}},
+            {"kind": "point", "conjectural": True},
+            {"rank": 1, "linear_weights": [[1]], "mult_weights": []},
         ]
         for doc in docs:
             code, _, err = run_cli(
@@ -249,6 +265,60 @@ class TestDualCommand:
         doc = {"kind": "type_A_singularity", "index": 2, "dim": 2}
         code, _, _ = run_cli(["dual", "-"], capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
         assert code == 3
+
+
+class TestBounds:
+    """A valid input just above each bound exits 3 with an error line."""
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["orbit", "chain", "0" + ",1" * 31], None),
+            (["orbit", "chain", "0,31"], None),
+            (["orbit", "dims", f"[{cli.MAX_N + 1}]"], None),
+            (["orbit", "dual", f"[{cli.MAX_N}, 1]"], None),
+            (["dual", "-"], {"kind": "point", "left_group": {"kind": "gl", "n": cli.MAX_N + 1}}),
+            (["diagram", "linking", "0" + " o 0" * (cli.MAX_BRANES + 1)], None),
+            (["coulomb", "-"], {"rank": cli.MAX_RANK + 1}),
+            (["coulomb", "-"], {"rank": 1, "linear_weights": [[cli.MAX_WEIGHT + 1]]}),
+            (["dual", "-"], {"rank": 1, "linear_weights": [[cli.MAX_WEIGHT], [1]]}),
+            # weight size 504 as written, 1500 after reduction to the kernel of (1, -500)
+            (
+                ["coulomb", "-"],
+                {"rank": 2, "linear_weights": [[3, 0]], "multiplicative_weights": [[1, -500]]},
+            ),
+            (["coulomb", "--table", "--cutoff", "3", "-"], {"rank": 1, "linear_weights": [[342]]}),
+            # 7^6 = 117,649 cocharacters within the cutoff
+            (
+                ["coulomb", "--table", "--cutoff", "3", "-"],
+                {"rank": 6, "multiplicative_weights": [[1] * 6]},
+            ),
+            # (2 * 100 + 1)^2 = 40,401 products
+            (["coulomb", "--table", "--cutoff", "100", "-"], {"rank": 1}),
+            # 81 products of degree up to 493: 81 * 494 = 40,014 terms
+            (
+                ["coulomb", "--table", "--cutoff", "1", "-"],
+                {"rank": 2, "linear_weights": [[246, 247]]},
+            ),
+        ],
+    )
+    def test_just_above_the_bound_exits_3(self, argv, stdin, capsys, monkeypatch):
+        text = json.dumps(stdin) if stdin is not None else None
+        code, out, err = run_cli(argv, capsys, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the bound" in err
+
+    def test_document_nested_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
+        text = "[" * 100_000 + "]" * 100_000
+        code, out, err = run_cli(["dual", "-"], capsys, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "") and err.startswith("error:")
+
+    def test_help_states_the_bounds(self, capsys):
+        assert cli.main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for bound in (cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT):
+            assert f", {bound}" in out
+        assert f"{cli.MAX_TABLE_TERMS}" in out
 
 
 class TestVerifyCommand:

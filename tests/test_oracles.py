@@ -9,6 +9,11 @@
 * The monopole formula (Cremonesi-Hanany-Zaffaroni, arXiv:1309.2657) in rank
   one, doubled grading s = t^{1/2}: sum_m s^{|m| S} / (1 - s^2) with
   S = sum_j |c_j| must equal the Hilbert series of the printed presentation.
+* Multiplicative matter: the monopoles that survive are the cocharacters
+  annihilating every b. Counted by brute force in a box, they must be as
+  many as the points of the reduced lattice that reduce_multiplicative's
+  basis maps into the box, which holds only if the basis spans the whole
+  kernel lattice (a saturated sublattice), not a sublattice of finite index.
 """
 
 import itertools
@@ -20,6 +25,7 @@ from sdualkit.abelian_coulomb import (
     TorusTheory,
     multiply,
     present_rank1,
+    reduce_multiplicative,
     structure_constant_table,
 )
 
@@ -165,3 +171,45 @@ class TestMonopoleFormula:
                 continue  # T*(C^x): its graded pieces are infinite
             presentation = present_rank1(TorusTheory(1, weights))
             assert _presentation_series(presentation) == _monopole_series(weights), weights
+
+
+def _reduced_lattice_count(basis, rank, cutoff):
+    """Points k of the reduced lattice with sum_i k_i v_i in the box |lam|_inf <= cutoff.
+
+    Each coordinate of k is a fixed rational combination of the coordinates
+    of lam (the left inverse of the basis, computed in sympy), which bounds
+    the k worth enumerating.
+    """
+    if not basis:
+        return 1
+    v = sympy.Matrix(basis).T
+    left_inverse = (v.T * v).inv() * v.T
+    norm = max(sum(abs(x) for x in left_inverse.row(i)) for i in range(len(basis)))
+    bound = int(sympy.ceiling(norm * cutoff))
+    count = 0
+    for k in itertools.product(range(-bound, bound + 1), repeat=len(basis)):
+        lam = [sum(ki * vi[j] for ki, vi in zip(k, basis)) for j in range(rank)]
+        count += max(map(abs, lam)) <= cutoff
+    return count
+
+
+class TestMultiplicativeMatter:
+    def test_reduced_lattice_counts_every_surviving_monopole(self):
+        rng = random.Random("oracles:multiplicative")
+        cutoff = 3
+        kernel_ranks = set()
+        for _ in range(60):
+            rank = rng.randint(2, 3)
+            rows = rng.randint(1, rank - 1)
+            mult = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+            theory = TorusTheory(rank, _random_weights(rng, rank), mult)
+            reduced, basis = reduce_multiplicative(theory)
+            kernel_ranks.add(len(basis))
+            assert reduced.rank == len(basis)
+            assert all(sum(b * x for b, x in zip(row, v)) == 0 for row in mult for v in basis)
+            survivors = sum(
+                all(sum(b * x for b, x in zip(row, lam)) == 0 for row in mult)
+                for lam in itertools.product(range(-cutoff, cutoff + 1), repeat=rank)
+            )
+            assert _reduced_lattice_count(basis, rank, cutoff) == survivors, (mult, basis)
+        assert {1, 2} <= kernel_ranks

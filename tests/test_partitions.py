@@ -61,6 +61,12 @@ class TestPartitionBasics:
         with pytest.raises(ValueError):
             Partition.parse("3,1")
 
+    def test_equality_keeps_the_hash_contract(self):
+        # Equal objects hash alike, so a partition equals no tuple or list.
+        lam = Partition((2, 1))
+        assert lam != (2, 1) and lam != [2, 1]
+        assert (2, 1) not in {lam} and lam in {Partition([1, 2])}
+
     def test_parse_reads_ascii_integers_only(self):
         assert Partition.parse("[ 3, 1 ]") == Partition([3, 1])
         for text in ("[1_0]", "[\u0663,1]", "[+3]", "[3,]", "[3.0]"):

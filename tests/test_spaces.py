@@ -96,30 +96,28 @@ class TestDescriptorConstruction:
         theory = TorusTheory(2, [[1, 0], [2, 1]])
         for conjecture in (False, True):
             samples = [
-                SpaceDescriptor.point(GroupDescriptor.gl(2), conjecture=conjecture),
-                SpaceDescriptor.cotangent_of_rep(dims=(2, 3), conjecture=conjecture),
-                SpaceDescriptor.cotangent_of_rep(theory=theory, conjecture=conjecture),
-                SpaceDescriptor.cotangent_of_group(GroupDescriptor.gl(3), conjecture=conjecture),
-                SpaceDescriptor.group_times_slice(
-                    GroupDescriptor.gl(4), [2, 1, 1], conjecture=conjecture
-                ),
-                SpaceDescriptor.orbit_closure(4, [3, 1], conjecture=conjecture),
-                SpaceDescriptor.type_a_singularity(2, conjecture=conjecture),
-                SpaceDescriptor.torus_cotangent(3, conjecture=conjecture),
-                SpaceDescriptor.m_cross(2, 2, conjecture=conjecture),
-                SpaceDescriptor.coulomb_branch(theory, conjecture=conjecture),
+                SpaceDescriptor.point(GroupDescriptor.gl(2)),
+                SpaceDescriptor.cotangent_of_rep(dims=(2, 3)),
+                SpaceDescriptor.cotangent_of_rep(theory=theory),
+                SpaceDescriptor.cotangent_of_group(GroupDescriptor.gl(3)),
+                SpaceDescriptor.group_times_slice(GroupDescriptor.gl(4), [2, 1, 1]),
+                SpaceDescriptor.orbit_closure(4, [3, 1]),
+                SpaceDescriptor.type_a_singularity(2),
+                SpaceDescriptor.torus_cotangent(3),
+                SpaceDescriptor.m_cross(2, 2),
+                SpaceDescriptor.coulomb_branch(theory),
                 SpaceDescriptor(
                     "reduced",
                     6,
                     GroupDescriptor.gl(1),
                     GroupDescriptor.gl(2),
-                    conjecture=conjecture,
                     possibly_singular=True,
                     right_twisted=True,
                 ),
             ]
             assert {d.kind for d in samples} == set(SpaceDescriptor.KINDS)
             for d in samples:
+                d.conjecture = conjecture
                 back = SpaceDescriptor.from_json(json.loads(json.dumps(d.to_json())))
                 assert back == d
                 assert all(getattr(back, s) == getattr(d, s) for s in SpaceDescriptor.__slots__)
