@@ -30,7 +30,6 @@ from .brane import (
     sdual,
 )
 from .exactalg import (
-    IntegerMatrix,
     LinearForm,
     Polynomial,
     RankMismatchError,

@@ -36,7 +36,6 @@ from typing import Sequence
 
 from . import spaces
 from .exactalg import (
-    IntegerMatrix,
     LinearForm,
     Polynomial,
     RankMismatchError,
@@ -320,10 +319,7 @@ def reduce_multiplicative(theory: TorusTheory) -> tuple[TorusTheory, tuple[Cocha
             tuple(1 if i == j else 0 for j in range(theory.rank)) for i in range(theory.rank)
         )
         return theory, identity
-    matrix = IntegerMatrix.from_rows(
-        [b.coeffs for b in theory.multiplicative_weights], cols=theory.rank
-    )
-    basis = tuple(integer_kernel(matrix))
+    basis = tuple(integer_kernel([b.coeffs for b in theory.multiplicative_weights], theory.rank))
     restricted = [
         LinearForm(tuple(a.pairing(v) for v in basis)) for a in theory.linear_weights
     ]
@@ -384,33 +380,41 @@ class RingPresentation:
         }
 
 
+def _coulomb_space(reduced: TorusTheory, rank: int) -> spaces.SpaceDescriptor:
+    """Coulomb branch of a reduced theory, under the original torus of ``rank``:
+    T^*(C^x)^r with every weight zero (the point at r = 0), the theory's own
+    descriptor in effective rank two or more, else C^2 or the A_{D-1}
+    singularity by the doubled monopole degree D of r[1]."""
+    acting = spaces.GroupDescriptor.torus(rank)
+    if not any(any(a.coeffs) for a in reduced.linear_weights):
+        return spaces.SpaceDescriptor.torus_cotangent(reduced.rank, left_group=acting)
+    if reduced.rank > 1:
+        return spaces.SpaceDescriptor.coulomb_branch(reduced, left_group=acting)
+    degree = reduced.monopole_degree_doubled((1,))
+    if degree == 1:
+        return spaces.SpaceDescriptor.cotangent_of_rep(
+            dims=(1, 1), left_group=acting, right_group=spaces.GroupDescriptor.trivial()
+        )
+    return spaces.SpaceDescriptor.type_a_singularity(degree - 1, left_group=acting)
+
+
 def present_rank1(theory: TorusTheory) -> RingPresentation:
     """Presentation C[w, x, y] / (x*y = prod_j a_j(w)^{|a_j|}) in effective rank one.
 
-    The relation is the product r[1] * r[-1], and the monopole degree D of
-    x = r[1] and y = r[-1] (stored doubled) names the variety: T^*(C^x) for
-    D = 0, C^2 for D = 1, the A_{D-1} singularity above. Multiplicative
-    directions are reduced away first; effective rank zero yields the point,
-    and effective rank two or more is unsupported (use the structure-constant
-    table instead). The original torus acts on the left.
+    x = r[1] and y = r[-1] after multiplicative reduction, the relation is
+    their product, and the variety is the Coulomb branch under the original
+    torus. Effective rank zero yields the point; two or more is unsupported
+    (use the structure-constant table instead).
     """
     reduced, _ = reduce_multiplicative(theory)
-    acting = spaces.GroupDescriptor.torus(theory.rank)
-    if reduced.rank == 0:
-        return RingPresentation((), None, spaces.SpaceDescriptor.point(acting))
     if reduced.rank > 1:
         raise RankTooHighError(
             f"effective rank {reduced.rank}: only rank-one presentations are supported"
         )
+    space = _coulomb_space(reduced, theory.rank)
+    if reduced.rank == 0:
+        return RingPresentation((), None, space)
     degree = reduced.monopole_degree_doubled((1,))
-    if degree == 0:
-        space = spaces.SpaceDescriptor.torus_cotangent(1, left_group=acting)
-    elif degree == 1:
-        space = spaces.SpaceDescriptor.cotangent_of_rep(
-            dims=(1, 1), left_group=acting, right_group=spaces.GroupDescriptor.trivial()
-        )
-    else:
-        space = spaces.SpaceDescriptor.type_a_singularity(degree - 1, left_group=acting)
     variables = (("w", 2), ("x", degree), ("y", degree))
     return RingPresentation(variables, structure_factor(reduced, (1,), (-1,)), space)
 
@@ -457,10 +461,4 @@ def sdual_torus(theory: TorusTheory) -> spaces.SpaceDescriptor:
     original torus, recorded as the torus acting on the left.
     """
     reduced, _ = reduce_multiplicative(theory)
-    acting = spaces.GroupDescriptor.torus(theory.rank)
-    if all(all(c == 0 for c in a.coeffs) for a in reduced.linear_weights):
-        # With every weight zero the Coulomb branch is T*(C^x)^r, the point at r = 0.
-        return spaces.SpaceDescriptor.torus_cotangent(reduced.rank, left_group=acting)
-    if reduced.rank == 1:
-        return present_rank1(theory).space
-    return spaces.SpaceDescriptor.coulomb_branch(reduced, left_group=acting)
+    return _coulomb_space(reduced, theory.rank)

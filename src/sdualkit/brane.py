@@ -211,18 +211,22 @@ def admissible_moves(d: BraneDiagram) -> list[int]:
 
 
 def linking_numbers(d: BraneDiagram) -> LinkingData:
-    """Conserved charges: dimension jump plus a count of opposite branes."""
+    """Conserved charges: dimension jump plus a count of opposite branes.
+
+    One pass keeps the number of ``x`` branes seen so far and of ``o`` branes
+    still to come.
+    """
+    dims = d.dims
     ns5 = []
     d5 = []
+    x_left, o_right = 0, d.branes.count(NS5)
     for p, brane in enumerate(d.branes):
         if brane == NS5:
-            ns5.append(
-                d.dims[p + 1] - d.dims[p] + sum(1 for b in d.branes[:p] if b == D5)
-            )
+            o_right -= 1
+            ns5.append(dims[p + 1] - dims[p] + x_left)
         else:
-            d5.append(
-                d.dims[p] - d.dims[p + 1] + sum(1 for b in d.branes[p + 1 :] if b == NS5)
-            )
+            x_left += 1
+            d5.append(dims[p] - dims[p + 1] + o_right)
     return LinkingData(ns5, d5)
 
 

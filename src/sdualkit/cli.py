@@ -21,7 +21,7 @@ from .abelian_coulomb import (
     reduce_multiplicative,
     structure_constant_table,
 )
-from .exactalg import text_ints
+from .exactalg import MAX_DIGITS, TooLargeError, text_ints
 from .partitions import (
     Partition,
     centralizer_dim,
@@ -29,10 +29,6 @@ from .partitions import (
     orbit_dim,
     transpose,
 )
-
-
-class TooLargeError(ValueError):
-    """A valid input above one of the bounds on a command's work."""
 
 
 # Bounds on one command's work. Each was set from a measurement so that the
@@ -46,6 +42,7 @@ MAX_TABLE_TERMS = 40_000  # see BOUNDS
 
 BOUNDS = (
     "Bounds (a valid input above one exits 3): "
+    f"the digits of every integer read, {MAX_DIGITS}; "
     f"a partition's total, {MAX_N}; every integer of a dual document but its dims, {MAX_N}; "
     f"the steps and the entries of an orbit chain, {MAX_CHAIN}; the branes of a diagram, "
     f"{MAX_BRANES}; the rank of a theory, {MAX_RANK}; the weight size of a theory presented "
@@ -126,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coulomb", help="present the Coulomb branch of a torus theory")
     p.add_argument("--table", action="store_true", help="print the structure-constant table")
-    p.add_argument("--cutoff", type=int, default=1, help="cocharacter cutoff for --table")
+    p.add_argument("--cutoff", default="1", help="cocharacter cutoff for --table")
     p.add_argument("--json", action="store_true")
     p.add_argument("input", help="theory JSON file, or - for stdin")
 
@@ -146,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--filter", default=None, help="run only checks whose name contains this")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("repl", help="interactive diagram manipulation")
@@ -155,45 +152,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_document(path: str) -> str:
+def _read_document(path: str):
+    """The JSON document at ``path`` (- for stdin), its integers read by text_ints."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    return json.loads(text, parse_int=lambda tok: text_ints((tok,), "document integer")[0])
+
+
+def _emit(args, to_json, to_text) -> int:
+    """Print ``to_json()`` as sorted JSON under --json, else ``to_text()``; only one is built."""
+    print(json.dumps(to_json(), sort_keys=True) if args.json else to_text())
+    return 0
+
+
+def _table_json(table, rank: int) -> dict:
+    entries = [{"lam": list(lam), "mu": list(mu), "coefficient": str(p)} for lam, mu, p in table]
+    return {"table": entries, "rank": rank}
+
+
+def _table_text(table) -> str:
+    lines = []
+    for lam, mu, poly in table:
+        total = tuple(a + b for a, b in zip(lam, mu))
+        left = f"r[{','.join(map(str, lam))}] * r[{','.join(map(str, mu))}]"
+        right = f"r[{','.join(map(str, total))}]"
+        lines.append(f"{left} = {right}" if poly == 1 else f"{left} = {poly} {right}")
+    return "\n".join(lines)
 
 
 def _cmd_coulomb(args) -> int:
-    theory = TorusTheory.from_json(json.loads(_read_document(args.input)))
+    (cutoff,) = text_ints((args.cutoff,), "cutoff")
+    theory = TorusTheory.from_json(_read_document(args.input))
     if args.table:
-        _check_table(theory, max(args.cutoff, 0))
-        table = structure_constant_table(theory, cutoff=args.cutoff)
-        if args.json:
-            payload = [
-                {"lam": list(lam), "mu": list(mu), "coefficient": str(poly)}
-                for lam, mu, poly in table
-            ]
-            print(json.dumps({"table": payload, "rank": theory.rank}, sort_keys=True))
-        else:
-            for lam, mu, poly in table:
-                total = tuple(a + b for a, b in zip(lam, mu))
-                left = f"r[{','.join(map(str, lam))}] * r[{','.join(map(str, mu))}]"
-                right = f"r[{','.join(map(str, total))}]"
-                if poly == 1:
-                    print(f"{left} = {right}")
-                else:
-                    print(f"{left} = {poly} {right}")
-        return 0
+        _check_table(theory, max(cutoff, 0))
+        table = structure_constant_table(theory, cutoff=cutoff)
+        return _emit(args, lambda: _table_json(table, theory.rank), lambda: _table_text(table))
     _check_theory(theory)
     try:
         presentation = present_rank1(theory)
     except RankTooHighError as exc:
         print(f"error: {exc}; use --table for the structure-constant table", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(presentation.to_json(), sort_keys=True))
-    else:
-        print(str(presentation))
-    return 0
+    return _emit(args, presentation.to_json, presentation.__str__)
 
 
 def _diagram(text: str) -> brane.BraneDiagram:
@@ -207,20 +210,16 @@ def _cmd_diagram(args) -> int:
         if len(args.args) != 2:
             raise ValueError("usage: diagram hw <index> <diagram>")
         (index,) = text_ints(args.args[:1], "move index")
-        diagram = _diagram(args.args[1])
-        result = brane.hw_move(diagram, index)
-        print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
-        return 0
+        result = brane.hw_move(_diagram(args.args[1]), index)
+        return _emit(args, result.to_json, result.render)
     if len(args.args) != 1:
         raise ValueError(f"usage: diagram {args.action} <diagram>")
     diagram = _diagram(args.args[0])
     if args.action == "sdual":
         result = brane.sdual(diagram)
-        print(json.dumps(result.to_json(), sort_keys=True) if args.json else result.render())
-    else:
-        linking = brane.linking_numbers(diagram)
-        print(json.dumps(linking.to_json(), sort_keys=True) if args.json else str(linking))
-    return 0
+        return _emit(args, result.to_json, result.render)
+    linking = brane.linking_numbers(diagram)
+    return _emit(args, linking.to_json, linking.__str__)
 
 
 def _cmd_orbit(args) -> int:
@@ -231,39 +230,25 @@ def _cmd_orbit(args) -> int:
         _bound("chain entry", max(dims, default=0), MAX_CHAIN)
         # The orbit-closure reading, printed even where it is a point (all parts 1).
         lam = chain_to_orbit(dims)
-        if args.json:
-            payload = {
-                "n": lam.n,
-                "jordan_type": list(lam.parts),
-                "kind": "orbit_closure",
-                "dim": orbit_dim(lam),
-            }
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"{spaces.orbit_closure_text(lam)}  (dim {orbit_dim(lam)})")
-        return 0
+        dim = orbit_dim(lam)
+        payload = {"n": lam.n, "jordan_type": list(lam.parts), "kind": "orbit_closure", "dim": dim}
+        text = f"{spaces.orbit_closure_text(lam)}  (dim {dim})"
+        return _emit(args, lambda: payload, lambda: text)
     if len(args.args) != 1:
         raise ValueError(f"usage: orbit {args.action} <partition>")
     lam = Partition.parse(args.args[0])
     _bound("partition total", lam.n, MAX_N)
     if args.action == "dual":
         result = transpose(lam)
-        print(json.dumps({"partition": list(result.parts)}, sort_keys=True) if args.json else str(result))
-    else:
-        payload = {
-            "partition": list(lam.parts),
-            "orbit_dim": orbit_dim(lam),
-            "centralizer_dim": centralizer_dim(lam),
-        }
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            print(f"orbit_dim {payload['orbit_dim']}  centralizer_dim {payload['centralizer_dim']}")
-    return 0
+        return _emit(args, lambda: {"partition": list(result.parts)}, result.__str__)
+    orbit, centralizer = orbit_dim(lam), centralizer_dim(lam)
+    payload = {"partition": list(lam.parts), "orbit_dim": orbit, "centralizer_dim": centralizer}
+    text = f"orbit_dim {orbit}  centralizer_dim {centralizer}"
+    return _emit(args, lambda: payload, lambda: text)
 
 
 def _cmd_dual(args) -> int:
-    data = json.loads(_read_document(args.input))
+    data = _read_document(args.input)
     _bound("document integer", max(_integers(data), default=0), MAX_N)
     if isinstance(data, dict) and "rank" in data and "kind" not in data:
         descriptor = spaces.SpaceDescriptor.cotangent_of_rep(theory=TorusTheory.from_json(data))
@@ -272,21 +257,21 @@ def _cmd_dual(args) -> int:
     if descriptor.theory is not None:
         _check_theory(descriptor.theory)
     dual = spaces.sdual_pair(descriptor)
-    print(json.dumps(dual.to_json(), sort_keys=True) if args.json else str(dual))
-    return 0
+    return _emit(args, dual.to_json, dual.__str__)
 
 
 def _cmd_verify(args) -> int:
     from . import verify  # only this subcommand pays for importing the suite
 
-    results = verify.run_checks(name_filter=args.filter, seed=args.seed)
+    seed = None if args.seed is None else text_ints((args.seed,), "seed")[0]
+    results = verify.run_checks(name_filter=args.filter, seed=seed)
     if not results:
         names = ", ".join(name for name, _ in verify.CHECKS)
         raise ValueError(f"--filter {args.filter!r} matches no check; checks are {names}")
     ok = all(r.passed for r in results)
     if args.json:
         payload = {
-            "seed": verify.resolve_seed(args.seed),
+            "seed": verify.resolve_seed(seed),
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
             "passed": ok,
         }

@@ -46,15 +46,28 @@ def strict_object(data, what: str, required: Iterable[str], optional: Iterable[s
     return data
 
 
+class TooLargeError(ValueError):
+    """A valid input above one of the bounds on a command's work."""
+
+
+# Python's default limit on the digits of an integer converted from text.
+MAX_DIGITS = 4_300
+
+
 def text_ints(tokens: Sequence[str], what: str) -> list[int]:
     """The integers written in ``tokens``, each as ASCII ``-?[0-9]+``.
 
     Underscores, a plus sign, whitespace and non-ASCII digits, all of which
-    ``int()`` accepts, raise ValueError.
+    ``int()`` accepts, raise ValueError; more than MAX_DIGITS digits raise
+    TooLargeError.
     """
     for tok in tokens:
         if not (tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit())):
             raise ValueError(f"{what} must be an integer written in ASCII digits, got {tok!r}")
+        if len(tok) > MAX_DIGITS:
+            digits = len(tok) - (tok[0] == "-")
+            if digits > MAX_DIGITS:
+                raise TooLargeError(f"{what} has {digits} digits, above the bound {MAX_DIGITS}")
     return [int(tok) for tok in tokens]
 
 
@@ -347,41 +360,6 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = N
     return Polynomial._trusted(rank, terms)
 
 
-class IntegerMatrix:
-    """Rectangular integer matrix; shape is explicit so empty matrices keep it."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        ent = tuple(tuple(int(x) for x in row) for row in entries)
-        if len(ent) != self.rows or any(len(row) != self.cols for row in ent):
-            raise ValueError(f"entries do not form a {self.rows}x{self.cols} matrix")
-        self.entries = ent
-
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "IntegerMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
-        if rows:
-            cols = len(rows[0]) if cols is None else cols
-        elif cols is None:
-            raise ValueError("column count required for a matrix with no rows")
-        return cls(len(rows), cols, rows)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntegerMatrix)
-            and (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols}, {[list(r) for r in self.entries]!r})"
-
-
 def _hermite_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Canonical (Hermite) basis of the row lattice spanned by ``vectors``.
 
@@ -418,8 +396,17 @@ def _hermite_rows(vectors: Sequence[Sequence[int]], ncols: int) -> list[tuple[in
     return [tuple(r) for r in basis]
 
 
-def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Canonical basis of the full integer kernel lattice {v : m v = 0}.
+def _check_matrix(rows: Sequence[Sequence[int]], cols: int) -> None:
+    """Raise ValueError unless every row holds ``cols`` Python ints."""
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"matrix row {list(row)!r} does not have {cols} entries")
+        for x in row:
+            strict_int(x, "matrix entry")
+
+
+def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the full integer kernel lattice {v : m v = 0}, m the matrix of ``rows``.
 
     Column j of m, extended by the unit vector e_j, records both its image
     and its coordinates; the Hermite rows whose image part vanishes are the
@@ -427,15 +414,15 @@ def integer_kernel(m: IntegerMatrix) -> list[tuple[int, ...]]:
     saturated, so these rows generate the whole lattice, not a finite-index
     sublattice.
     """
+    _check_matrix(rows, cols)
+    n = len(rows)
     extended = [
-        [row[j] for row in m.entries] + [1 if i == j else 0 for i in range(m.cols)]
-        for j in range(m.cols)
+        [row[j] for row in rows] + [1 if i == j else 0 for i in range(cols)] for j in range(cols)
     ]
-    return [
-        r[m.rows:] for r in _hermite_rows(extended, m.rows + m.cols) if not any(r[: m.rows])
-    ]
+    return [r[n:] for r in _hermite_rows(extended, n + cols) if not any(r[:n])]
 
 
-def integer_rank(m: IntegerMatrix) -> int:
-    """Rank of an integer matrix, computed exactly."""
-    return len(_hermite_rows(m.entries, m.cols))
+def integer_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
+    """Rank of the integer matrix of ``rows``, computed exactly."""
+    _check_matrix(rows, cols)
+    return len(_hermite_rows(rows, cols))

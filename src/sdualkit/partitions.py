@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import IntegerMatrix, integer_rank, text_ints
+from .exactalg import integer_rank, text_ints
 
 
 class InconsistentChainError(ValueError):
@@ -172,7 +172,7 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
     return maximal[0]
 
 
-def _jordan_matrix(lam: Partition) -> IntegerMatrix:
+def _jordan_matrix(lam: Partition) -> list[list[int]]:
     n = lam.n
     entries = [[0] * n for _ in range(n)]
     offset = 0
@@ -180,7 +180,7 @@ def _jordan_matrix(lam: Partition) -> IntegerMatrix:
         for i in range(block - 1):
             entries[offset + i][offset + i + 1] = 1
         offset += block
-    return IntegerMatrix(n, n, entries)
+    return entries
 
 
 def numeric_jordan_oracle(lam) -> dict[int, int]:
@@ -194,15 +194,14 @@ def numeric_jordan_oracle(lam) -> dict[int, int]:
     if n > 64:
         raise ValueError("oracle capped at matrices of size 64")
     jordan = _jordan_matrix(lam)
-    power = IntegerMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     table: dict[int, int] = {}
     top = lam.parts[0] if lam.parts else 0
     for k in range(top + 1):
-        table[k] = integer_rank(power)
+        table[k] = integer_rank(power, n)
         if k < top:
-            product = [
-                [sum(power.entries[i][l] * jordan.entries[l][j] for l in range(n)) for j in range(n)]
+            power = [
+                [sum(power[i][l] * jordan[l][j] for l in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-            power = IntegerMatrix(n, n, product)
     return table

@@ -338,10 +338,6 @@ class SpaceDescriptor:
         )
 
     @classmethod
-    def nilpotent_cone(cls, n: int) -> "SpaceDescriptor":
-        return cls.orbit_closure(n, Partition((n,) if n else ()))
-
-    @classmethod
     def type_a_singularity(
         cls,
         index: int,
@@ -690,7 +686,8 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     if m.kind == "cotangent_of_group":
         if not m.right_group.is_trivial:
             raise NoKnownDualError("two-sided cotangent of a group is not in the table")
-        return SpaceDescriptor.nilpotent_cone(m.group.size)
+        n = m.group.size
+        return SpaceDescriptor.orbit_closure(n, Partition((n,) if n else ()))
 
     if m.kind == "group_times_slice":
         if m.right_group.is_trivial:

@@ -22,6 +22,7 @@ from .abelian_coulomb import (
     structure_exponents,
     structure_factor,
 )
+from .exactalg import text_ints
 from .partitions import (
     Partition,
     chain_to_orbit,
@@ -42,7 +43,7 @@ def resolve_seed(seed: int | None = None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get("SDUALKIT_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return text_ints((env,), "SDUALKIT_SEED")[0] if env else DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +241,9 @@ def check_partition_transpose_laws(rng: random.Random) -> tuple[bool, str]:
 
 def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
     cases = 0
-    for n in range(1, 7):
-        g = spaces.GroupDescriptor.gl(n)
-        for m in (spaces.SpaceDescriptor.point(g), spaces.SpaceDescriptor.cotangent_of_group(g)):
-            result = spaces.kostant_reduction_check(m, g)
-            if not result.passed:
-                return False, f"failed for {m} under {g}: {result}"
-            cases += 1
-    for r in range(1, 5):
-        g = spaces.GroupDescriptor.torus(r)
+    groups = [spaces.GroupDescriptor.gl(n) for n in range(1, 7)]
+    groups += [spaces.GroupDescriptor.torus(r) for r in range(1, 5)]
+    for g in groups:
         for m in (spaces.SpaceDescriptor.point(g), spaces.SpaceDescriptor.cotangent_of_group(g)):
             result = spaces.kostant_reduction_check(m, g)
             if not result.passed:

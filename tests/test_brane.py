@@ -236,6 +236,21 @@ class TestLinkingNumbers:
             i = rng.choice(admissible_moves(d))
             assert linking_numbers(hw_move(d, i)) == linking_numbers(d)
 
+    def test_matches_the_counting_definition(self):
+        # an o brane counts the x branes to its left, an x brane the o branes to its right
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(0, 200)
+            branes = [rng.choice("ox") for _ in range(n)]
+            dims = [rng.randint(0, 9) for _ in range(n + 1)]
+            ns5, d5 = [], []
+            for p, b in enumerate(branes):
+                if b == "o":
+                    ns5.append(dims[p + 1] - dims[p] + branes[:p].count("x"))
+                else:
+                    d5.append(dims[p] - dims[p + 1] + branes[p + 1 :].count("o"))
+            assert linking_numbers(BraneDiagram(branes, dims)) == LinkingData(ns5, d5)
+
 
 class TestConcat:
     def test_boundary_must_match(self):

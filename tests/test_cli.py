@@ -97,6 +97,16 @@ class TestCoulombCommand:
         assert "r[1] * r[-1] = w r[0]" in out
         assert "r[0] * r[0] = r[0]" in out
 
+    def test_cutoff_underscore_exit_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            ["coulomb", "--table", "--cutoff", "1_0", "-"],
+            capsys,
+            stdin='{"rank":1,"linear_weights":[[1]]}',
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "ASCII digits" in err
+
     def test_table_mode_rank_two(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["coulomb", "--table", "-"],
@@ -308,6 +318,19 @@ class TestBounds:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "above the bound" in err
 
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["orbit", "dims", "[" + "9" * (cli.MAX_DIGITS + 1) + "]"], None),
+            (["coulomb", "-"], '{"rank":1,"linear_weights":[[' + "9" * (cli.MAX_DIGITS + 1) + "]]}"),
+        ],
+        ids=["partition part", "theory weight"],
+    )
+    def test_integer_above_the_digit_bound_exits_3(self, argv, stdin, capsys, monkeypatch):
+        code, out, err = run_cli(argv, capsys, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "above the bound" in err
+
     def test_document_nested_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
         text = "[" * 100_000 + "]" * 100_000
         code, out, err = run_cli(["dual", "-"], capsys, stdin=text, monkeypatch=monkeypatch)
@@ -316,7 +339,8 @@ class TestBounds:
     def test_help_states_the_bounds(self, capsys):
         assert cli.main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
-        for bound in (cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT):
+        bounds = (cli.MAX_DIGITS, cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT)
+        for bound in bounds:
             assert f", {bound}" in out
         assert f"{cli.MAX_TABLE_TERMS}" in out
 
@@ -346,6 +370,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--filter", "coulomb-presentations", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["seed"] == 42
+
+    def test_seed_env_var_underscore_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("SDUALKIT_SEED", "1_0")
+        code, out, err = run_cli(["verify", "--filter", "partition-transpose", "--json"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "SDUALKIT_SEED" in err
+
+    def test_non_ascii_seed_exit_2(self, capsys):
+        code, out, err = run_cli(["verify", "--filter", "partition-transpose", "--seed", "١٢"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "ASCII digits" in err
 
 
 class TestRepl:

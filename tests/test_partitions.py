@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdualkit.exactalg import IntegerMatrix, integer_kernel
+from sdualkit.exactalg import integer_kernel
 from sdualkit.partitions import (
     Partition,
     centralizer_dim,
@@ -44,7 +44,7 @@ def commutant_dim(lam):
             for k in range(n):
                 row[k * n + j] -= J[i][k]
             rows.append(row)
-    return len(integer_kernel(IntegerMatrix.from_rows(rows, cols=n * n)))
+    return len(integer_kernel(rows, n * n))
 
 
 class TestPartitionBasics:
