@@ -39,6 +39,7 @@ from .exactalg import (
     LinearForm,
     Polynomial,
     RankMismatchError,
+    Value,
     eval_product,
     integer_kernel,
     strict_int,
@@ -61,7 +62,7 @@ def _as_form(weight, rank: int) -> LinearForm:
     return form
 
 
-class TorusTheory:
+class TorusTheory(Value):
     """A torus gauge group with linear and multiplicative matter weights."""
 
     __slots__ = ("rank", "linear_weights", "multiplicative_weights")
@@ -120,10 +121,7 @@ class TorusTheory:
 
     def monomial(self, lam: Sequence[int], coeff=1) -> "CoulombElement":
         """The element coeff * r[lam]; zero if lam meets a multiplicative weight."""
-        lam = self._check_cochar(lam)
-        if isinstance(coeff, int):
-            coeff = Polynomial.constant(self.rank, coeff)
-        return CoulombElement(self, {lam: coeff})
+        return CoulombElement(self, {tuple(lam): coeff})
 
     def one(self) -> "CoulombElement":
         return self.monomial((0,) * self.rank)
@@ -131,21 +129,11 @@ class TorusTheory:
     def zero(self) -> "CoulombElement":
         return CoulombElement(self, {})
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TorusTheory)
-            and (self.rank, self.linear_weights, self.multiplicative_weights)
-            == (other.rank, other.linear_weights, other.multiplicative_weights)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.linear_weights, self.multiplicative_weights))
-
     def __repr__(self) -> str:
         return f"TorusTheory({self.describe()})"
 
 
-class CoulombElement:
+class CoulombElement(Value):
     """Finitely supported map from cocharacters to polynomial coefficients.
 
     The cocharacter key is the grading by the fundamental group of the
@@ -214,13 +202,6 @@ class CoulombElement:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CoulombElement)
-            and self.theory == other.theory
-            and self.support == other.support
-        )
 
     def __hash__(self) -> int:
         return hash((self.theory, frozenset(self.support.items())))
@@ -329,7 +310,7 @@ def reduce_multiplicative(theory: TorusTheory) -> tuple[TorusTheory, tuple[Cocha
 _BRACKET_NAMES = {"torus_cotangent": "T^*(C^x)", "cotangent_of_rep": "C^2"}
 
 
-class RingPresentation:
+class RingPresentation(Value):
     """Generators, a single defining relation, and the variety they present."""
 
     __slots__ = ("variables", "relation", "space")
@@ -338,16 +319,6 @@ class RingPresentation:
         self.variables = tuple((str(name), int(deg)) for name, deg in variables)
         self.relation = relation
         self.space = space
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingPresentation)
-            and (self.variables, self.relation, self.space)
-            == (other.variables, other.relation, other.space)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.variables, self.relation, self.space))
 
     def variety_name(self) -> str:
         """The bracketed name of the presented variety; the point has none."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import strict_ints, strict_object, text_ints
+from .exactalg import Value, strict_ints, strict_object, text_ints
 from .partitions import chain_to_orbit
 
 
@@ -34,7 +34,7 @@ _SYMBOLS = frozenset((NS5, D5))
 _FLIP = {NS5: D5, D5: NS5}
 
 
-class BraneDiagram:
+class BraneDiagram(Value):
     """Alternating word of fivebranes with one dimension label per segment."""
 
     __slots__ = ("branes", "dims")
@@ -86,15 +86,6 @@ class BraneDiagram:
             raise ValueError(f"diagram branes must be a list of strings, got {branes!r}")
         return cls(branes, strict_ints(data["dims"], "diagram dimension"))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BraneDiagram)
-            and (self.branes, self.dims) == (other.branes, other.dims)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.branes, self.dims))
-
     def __len__(self) -> int:
         return len(self.branes)
 
@@ -105,7 +96,7 @@ class BraneDiagram:
         return f"BraneDiagram({self.render()!r})"
 
 
-class QuiverData:
+class QuiverData(Value):
     """A linear quiver: gauge ranks v_1..v_l and framing ranks w_1..w_l."""
 
     __slots__ = ("gauge", "framing")
@@ -118,20 +109,11 @@ class QuiverData:
         if min(self.gauge + self.framing, default=0) < 0:
             raise ValueError("quiver dimensions must be nonnegative")
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QuiverData)
-            and (self.gauge, self.framing) == (other.gauge, other.framing)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.gauge, self.framing))
-
     def __repr__(self) -> str:
         return f"QuiverData(gauge={list(self.gauge)}, framing={list(self.framing)})"
 
 
-class LinkingData:
+class LinkingData(Value):
     """Multisets of linking numbers, one per fivebrane type."""
 
     __slots__ = ("ns5", "d5")
@@ -139,12 +121,6 @@ class LinkingData:
     def __init__(self, ns5: Iterable[int], d5: Iterable[int]):
         self.ns5 = tuple(sorted(int(x) for x in ns5))
         self.d5 = tuple(sorted(int(x) for x in d5))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinkingData) and (self.ns5, self.d5) == (other.ns5, other.d5)
-
-    def __hash__(self) -> int:
-        return hash((self.ns5, self.d5))
 
     def __str__(self) -> str:
         return f"ns5 {list(self.ns5)}  d5 {list(self.d5)}"

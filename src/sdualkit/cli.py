@@ -168,18 +168,27 @@ def _emit(args, to_json, to_text) -> int:
     return 0
 
 
+def _rendered(table):
+    """The entries of ``table``, each distinct factor object rendered once."""
+    texts = {}  # by id; the table keeps every factor alive, so no id is reused
+    for lam, mu, p in table:
+        if id(p) not in texts:
+            texts[id(p)] = str(p)
+        yield lam, mu, texts[id(p)]
+
+
 def _table_json(table, rank: int) -> dict:
-    entries = [{"lam": list(lam), "mu": list(mu), "coefficient": str(p)} for lam, mu, p in table]
+    entries = [{"lam": list(lam), "mu": list(mu), "coefficient": c} for lam, mu, c in _rendered(table)]
     return {"table": entries, "rank": rank}
 
 
 def _table_text(table) -> str:
     lines = []
-    for lam, mu, poly in table:
+    for lam, mu, factor in _rendered(table):
         total = tuple(a + b for a, b in zip(lam, mu))
         left = f"r[{','.join(map(str, lam))}] * r[{','.join(map(str, mu))}]"
         right = f"r[{','.join(map(str, total))}]"
-        lines.append(f"{left} = {right}" if poly == 1 else f"{left} = {poly} {right}")
+        lines.append(f"{left} = {right}" if factor == "1" else f"{left} = {factor} {right}")
     return "\n".join(lines)
 
 

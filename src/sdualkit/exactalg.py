@@ -8,7 +8,7 @@ golden tests.
 from __future__ import annotations
 
 from math import prod
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 
@@ -86,7 +86,25 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class LinearForm:
+class Value:
+    """Base of the value types: a value equals only a value of exactly its own
+    class whose ``__slots__`` hold equal values, and equal values hash alike."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._slot_values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._slot_values(self) == other._slot_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values(self))
+
+
+class LinearForm(Value):
     """Integer linear form on Z^r; pairs with cocharacters by the dot product."""
 
     __slots__ = ("coeffs",)
@@ -105,17 +123,11 @@ class LinearForm:
             )
         return sum(c * x for c, x in zip(self.coeffs, cochar))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("LinearForm", self.coeffs))
-
     def __repr__(self) -> str:
         return f"LinearForm({list(self.coeffs)!r})"
 
 
-class Polynomial:
+class Polynomial(Value):
     """Sparse polynomial in ``rank`` variables with integer coefficients.
 
     Terms map dense exponent tuples (length = rank, entries >= 0) to nonzero
@@ -211,15 +223,6 @@ class Polynomial:
         return Polynomial._trusted(self.rank, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self == Polynomial.constant(self.rank, other)
-        return (
-            isinstance(other, Polynomial)
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.rank, frozenset(self.terms.items())))

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import integer_rank, text_ints
+from .exactalg import Value, integer_rank, text_ints
 
 
 class InconsistentChainError(ValueError):
     """No Jordan type is compatible with the requested dimension chain."""
 
 
-class Partition:
+class Partition(Value):
     """Weakly decreasing tuple of positive integers; canonical on construction."""
 
     __slots__ = ("parts",)
@@ -45,17 +45,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"

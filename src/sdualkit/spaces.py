@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactalg import strict_int, strict_ints, strict_object
+from .exactalg import Value, strict_int, strict_ints, strict_object
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
@@ -26,7 +26,7 @@ class UnknownCoulombDimensionError(ValueError):
     """No rule gives the Coulomb-branch dimension of this matter space."""
 
 
-class GroupDescriptor:
+class GroupDescriptor(Value):
     """A reductive group at bookkeeping level: torus(r), gl(n), or a product.
 
     The dual group of a torus is identified with the torus and gl(n) with
@@ -88,15 +88,6 @@ class GroupDescriptor:
     def is_trivial(self) -> bool:
         return self.dim == 0
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupDescriptor)
-            and (self.kind, self.size, self.factors) == (other.kind, other.size, other.factors)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.size, self.factors))
-
     def __str__(self) -> str:
         if self.is_trivial:
             return "1"
@@ -148,7 +139,7 @@ def _list(data, what: str) -> list:
 _TRIVIAL = GroupDescriptor.trivial()
 
 
-class SpaceDescriptor:
+class SpaceDescriptor(Value):
     """Tagged record of a Hamiltonian space supporting composition and duals.
 
     ``left_group`` / ``right_group`` record the two-sided action (either may
@@ -160,7 +151,8 @@ class SpaceDescriptor:
     # Per kind: the public constructor that rebuilds it, and its payload as
     # (attribute, JSON key) pairs; the JSON key also names the constructor's
     # parameter. Every kind also carries dim, left_group, right_group and the
-    # FLAGS. to_json, from_json and _key all read this table.
+    # FLAGS. to_json, from_json and _payload read this table; equality reads
+    # every slot, and one outside the kind's payload holds None, () or False.
     FIELDS = {
         "point": ("point", ()),
         "cotangent_of_rep": ("cotangent_of_rep", (("rep_dims", "dims"), ("theory", "theory"))),
@@ -460,16 +452,6 @@ class SpaceDescriptor:
 
     def _payload(self) -> tuple:
         return tuple(getattr(self, attr) for attr, _ in self.FIELDS[self.kind][1])
-
-    def _key(self):
-        flags = (self.conjecture, self.possibly_singular, self.right_twisted)
-        return (self.kind, self.dim, self.left_group, self.right_group, flags, self._payload())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SpaceDescriptor) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def same_shape(self, other: "SpaceDescriptor") -> bool:
         """Kind-and-dimension agreement, the comparison used for double duals."""

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from sdualkit import cli
+from sdualkit.abelian_coulomb import TorusTheory, structure_constant_table
 from sdualkit.brane import BraneDiagram
 
 
@@ -106,6 +107,32 @@ class TestCoulombCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "ASCII digits" in err
+
+    @pytest.mark.parametrize(
+        "doc, cutoff",
+        [
+            ({"rank": 1, "linear_weights": [[1], [2]]}, 3),
+            ({"rank": 2, "linear_weights": [[1, 1], [1, -1]]}, 2),
+            ({"rank": 2, "linear_weights": [[1, 0], [1, 2]], "multiplicative_weights": [[1, -1]]}, 2),
+        ],
+    )
+    def test_table_renders_every_entry(self, doc, cutoff, capsys, monkeypatch):
+        table = structure_constant_table(TorusTheory.from_json(doc), cutoff=cutoff)
+
+        def r(v):
+            return "r[" + ",".join(map(str, v)) + "]"
+
+        lines = []
+        for lam, mu, p in table:
+            factor = "" if str(p) == "1" else f"{p} "
+            lines.append(f"{r(lam)} * {r(mu)} = {factor}{r(tuple(a + b for a, b in zip(lam, mu)))}")
+        argv = ["coulomb", "--table", "--cutoff", str(cutoff), "-"]
+        code, out, _ = run_cli(argv, capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, out) == (0, "\n".join(lines) + "\n")
+        argv.insert(1, "--json")
+        code, out, _ = run_cli(argv, capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        entries = [{"lam": list(lam), "mu": list(mu), "coefficient": str(p)} for lam, mu, p in table]
+        assert (code, json.loads(out)) == (0, {"rank": doc["rank"], "table": entries})
 
     def test_table_mode_rank_two(self, capsys, monkeypatch):
         code, out, _ = run_cli(

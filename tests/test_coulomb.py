@@ -15,7 +15,7 @@ from sdualkit.abelian_coulomb import (
     structure_exponents,
     structure_factor,
 )
-from sdualkit.exactalg import Polynomial
+from sdualkit.exactalg import Polynomial, RankMismatchError
 from sdualkit.spaces import GroupDescriptor, SpaceDescriptor
 
 T1 = GroupDescriptor.torus(1)
@@ -299,6 +299,18 @@ class TestElementAlgebra:
     def test_scalar_multiplication(self):
         t = TorusTheory(1, [])
         assert 3 * t.one() == t.monomial((0,), 3)
+
+    def test_monomial_checks_its_input(self):
+        t = TorusTheory(2, [[1, 0]])
+        x = t.monomial([1, 0], 3)
+        assert x == t.monomial((1, 0), Polynomial.constant(2, 3))
+        assert list(x.support) == [(1, 0)]
+        with pytest.raises(RankMismatchError):
+            t.monomial((1,))
+        with pytest.raises(RankMismatchError):
+            t.monomial((1, 0), Polynomial.constant(1, 3))
+        with pytest.raises(TypeError):
+            t.monomial(5)
 
     def test_rendering(self):
         t = TorusTheory(1, [[1]])

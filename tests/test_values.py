@@ -1,0 +1,119 @@
+"""The one equality rule of the value types, and a guard that keeps it the only one."""
+
+import ast
+import pathlib
+
+import pytest
+
+import sdualkit
+from sdualkit import (
+    BraneDiagram,
+    CoulombElement,
+    GroupDescriptor,
+    LinearForm,
+    LinkingData,
+    Partition,
+    Polynomial,
+    QuiverData,
+    RingPresentation,
+    SpaceDescriptor,
+    TorusTheory,
+    present_rank1,
+)
+from sdualkit.exactalg import Value
+
+# One factory per value class; each call builds a fresh, equal value.
+FACTORIES = {
+    LinearForm: lambda: LinearForm((2, 1)),
+    Polynomial: lambda: Polynomial(2, {(1, 0): 3, (0, 2): -1}),
+    Partition: lambda: Partition((2, 1)),
+    TorusTheory: lambda: TorusTheory(2, [[1, 0], [1, 1]], [[1, -1]]),
+    CoulombElement: lambda: TorusTheory(1, [[1]]).monomial((1,), Polynomial(1, {(1,): 2})),
+    RingPresentation: lambda: present_rank1(TorusTheory(1, [[1], [1]])),
+    BraneDiagram: lambda: BraneDiagram.parse("0 o 1 x 1 x 1 o 0"),
+    QuiverData: lambda: QuiverData((1, 2), (2, 0)),
+    LinkingData: lambda: LinkingData((1, 2), (0, 3)),
+    GroupDescriptor: lambda: GroupDescriptor.product([GroupDescriptor.gl(2), GroupDescriptor.torus(1)]),
+    SpaceDescriptor: lambda: SpaceDescriptor.group_times_slice(GroupDescriptor.gl(3), (2, 1)),
+}
+
+
+def _slot_values(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_has_a_factory():
+    assert set(_subclasses(Value)) == set(FACTORIES)
+
+
+@pytest.mark.parametrize("cls", FACTORIES, ids=lambda cls: cls.__name__)
+def test_equal_values_hash_alike(cls):
+    a, b = FACTORIES[cls](), FACTORIES[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a in {b} and b in {a}
+
+
+@pytest.mark.parametrize("cls", FACTORIES, ids=lambda cls: cls.__name__)
+def test_a_value_is_not_its_slot_values(cls):
+    a = FACTORIES[cls]()
+    values = _slot_values(a)
+    others = [values] + list(values[:1] if len(values) == 1 else ())
+    for other in others:
+        assert a != other and other != a and not a == other
+        try:
+            hash(other)
+        except TypeError:  # a dict slot value: no set can hold it
+            continue
+        assert other not in {a}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (LinearForm((2, 1)), Partition((2, 1))),
+        (QuiverData((1, 2), (0, 3)), LinkingData((1, 2), (0, 3))),
+    ],
+)
+def test_classes_with_the_same_slot_values_differ(a, b):
+    assert _slot_values(a) == _slot_values(b)
+    assert a != b and b != a
+    assert a not in {b} and b not in {a}
+
+
+def test_a_constant_polynomial_is_not_an_int():
+    five = Polynomial.constant(1, 5)
+    assert five != 5 and 5 != five and not five == 5
+    assert 5 not in {five} and five not in {5}
+
+
+def _classes_defining(name: str) -> set[str]:
+    """Names of the classes in the package source whose body defines ``name``."""
+    found = set()
+    for path in sorted(pathlib.Path(sdualkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                if name in names:
+                    found.add(node.name)
+    return found
+
+
+def test_the_value_base_holds_the_only_equality_rule():
+    # Polynomial and CoulombElement hold dicts, which they hash as frozensets.
+    assert _classes_defining("__eq__") - {"Value"} == set()
+    assert _classes_defining("__hash__") - {"Value", "Polynomial", "CoulombElement"} == set()
