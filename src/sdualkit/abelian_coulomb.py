@@ -43,6 +43,7 @@ from .exactalg import (
     eval_product,
     integer_kernel,
     strict_int,
+    strict_int_tuple,
     strict_ints,
     strict_object,
 )
@@ -68,7 +69,7 @@ class TorusTheory(Value):
     __slots__ = ("rank", "linear_weights", "multiplicative_weights")
 
     def __init__(self, rank: int, linear_weights=(), multiplicative_weights=()):
-        self.rank = int(rank)
+        self.rank = strict_int(rank, "rank")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         self.linear_weights = tuple(_as_form(a, self.rank) for a in linear_weights)
@@ -105,13 +106,16 @@ class TorusTheory(Value):
     # -- basic structure ---------------------------------------------------
 
     def _check_cochar(self, lam: Sequence[int]) -> Cochar:
-        lam = tuple(int(x) for x in lam)
+        lam = strict_int_tuple(lam, "cocharacter entry")
         if len(lam) != self.rank:
             raise RankMismatchError(f"cocharacter {lam} has length {len(lam)}, expected {self.rank}")
         return lam
 
     def annihilates_multiplicative(self, lam: Sequence[int]) -> bool:
-        lam = self._check_cochar(lam)
+        return self._annihilates(self._check_cochar(lam))
+
+    def _annihilates(self, lam: Cochar) -> bool:
+        """annihilates_multiplicative for a cocharacter _check_cochar returned."""
         return all(b.pairing(lam) == 0 for b in self.multiplicative_weights)
 
     def monopole_degree_doubled(self, lam: Sequence[int]) -> int:
@@ -152,7 +156,7 @@ class CoulombElement(Value):
                 coeff = Polynomial.constant(theory.rank, coeff)
             if coeff.rank != theory.rank:
                 raise RankMismatchError("coefficient rank does not match the theory")
-            if coeff.is_zero() or not theory.annihilates_multiplicative(lam):
+            if coeff.is_zero() or not theory._annihilates(lam):
                 continue
             clean[lam] = coeff
         self.support = clean
@@ -316,7 +320,7 @@ class RingPresentation(Value):
     __slots__ = ("variables", "relation", "space")
 
     def __init__(self, variables, relation: Polynomial | None, space: spaces.SpaceDescriptor):
-        self.variables = tuple((str(name), int(deg)) for name, deg in variables)
+        self.variables = tuple((str(name), strict_int(deg, "degree")) for name, deg in variables)
         self.relation = relation
         self.space = space
 
@@ -409,7 +413,7 @@ def structure_constant_table(
     box = [
         (lam, _pairings(forms, lam))
         for lam in cochar_box(rank, cutoff)
-        if theory.annihilates_multiplicative(lam)
+        if theory._annihilates(lam)
     ]
     # Most entries repeat an exponent vector; each distinct one is expanded
     # once, and the dict goes with the call.

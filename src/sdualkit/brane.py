@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import Value, strict_ints, strict_object, text_ints
+from .exactalg import Value, strict_int_tuple, strict_ints, strict_object, text_ints
 from .partitions import chain_to_orbit
 
 
@@ -41,7 +41,7 @@ class BraneDiagram(Value):
 
     def __init__(self, branes: Iterable[str], dims: Iterable[int]):
         self.branes = tuple(branes)
-        self.dims = tuple(map(int, dims))
+        self.dims = strict_int_tuple(dims, "segment dimension")
         try:
             known = _SYMBOLS.issuperset(self.branes)
         except TypeError:  # an unhashable symbol is not a brane either
@@ -102,8 +102,8 @@ class QuiverData(Value):
     __slots__ = ("gauge", "framing")
 
     def __init__(self, gauge: Sequence[int], framing: Sequence[int]):
-        self.gauge = tuple(map(int, gauge))
-        self.framing = tuple(map(int, framing))
+        self.gauge = strict_int_tuple(gauge, "gauge rank")
+        self.framing = strict_int_tuple(framing, "framing rank")
         if len(self.gauge) != len(self.framing):
             raise ValueError("gauge and framing vectors must have the same length")
         if min(self.gauge + self.framing, default=0) < 0:
@@ -119,8 +119,8 @@ class LinkingData(Value):
     __slots__ = ("ns5", "d5")
 
     def __init__(self, ns5: Iterable[int], d5: Iterable[int]):
-        self.ns5 = tuple(sorted(int(x) for x in ns5))
-        self.d5 = tuple(sorted(int(x) for x in d5))
+        self.ns5 = tuple(sorted(strict_int_tuple(ns5, "linking number")))
+        self.d5 = tuple(sorted(strict_int_tuple(d5, "linking number")))
 
     def __str__(self) -> str:
         return f"ns5 {list(self.ns5)}  d5 {list(self.d5)}"

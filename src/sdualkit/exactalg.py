@@ -23,11 +23,23 @@ def strict_int(value, what: str) -> int:
     return value
 
 
-def strict_ints(values, what: str) -> list[int]:
-    """``values`` if it is a JSON list of integers, checked by strict_int."""
+_INT_ONLY = frozenset((int,))
+
+
+def strict_int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
+    """The entries of ``values`` as a tuple, each checked by strict_int."""
+    values = tuple(values)
+    if not _INT_ONLY.issuperset(map(type, values)):
+        for v in values:
+            strict_int(v, what)
+    return values
+
+
+def strict_ints(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple if it is a JSON list of integers, checked by strict_int."""
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return [strict_int(v, what) for v in values]
+    return strict_int_tuple(values, what)
 
 
 def strict_object(data, what: str, required: Iterable[str], optional: Iterable[str]) -> dict:
@@ -110,7 +122,7 @@ class LinearForm(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = strict_int_tuple(coeffs, "form coefficient")
 
     @property
     def rank(self) -> int:
@@ -137,18 +149,18 @@ class Polynomial(Value):
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
-        self.rank = int(rank)
+        self.rank = strict_int(rank, "rank")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coeff in terms.items():
-                e = tuple(int(x) for x in exps)
+                e = strict_int_tuple(exps, "exponent")
                 if len(e) != self.rank:
                     raise RankMismatchError(f"exponent vector {e} has wrong length for rank {self.rank}")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = int(coeff)
+                c = strict_int(coeff, "coefficient")
                 if c:
                     clean[e] = clean.get(e, 0) + c
         self.terms = {e: c for e, c in clean.items() if c}
@@ -166,7 +178,7 @@ class Polynomial(Value):
     def constant(cls, rank: int, value: int) -> "Polynomial":
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        value = int(value)
+        value = strict_int(value, "constant")
         return cls._trusted(rank, {(0,) * rank: value} if value else {})
 
     @classmethod
@@ -404,8 +416,7 @@ def _check_matrix(rows: Sequence[Sequence[int]], cols: int) -> None:
     for row in rows:
         if len(row) != cols:
             raise ValueError(f"matrix row {list(row)!r} does not have {cols} entries")
-        for x in row:
-            strict_int(x, "matrix entry")
+        strict_int_tuple(row, "matrix entry")
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:

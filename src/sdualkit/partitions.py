@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import Value, integer_rank, text_ints
+from .exactalg import Value, integer_rank, strict_int_tuple, text_ints
 
 
 class InconsistentChainError(ValueError):
@@ -17,7 +17,7 @@ class Partition(Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = sorted((int(p) for p in parts), reverse=True)
+        cleaned = sorted(strict_int_tuple(parts, "partition part"), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
         self.parts = tuple(p for p in cleaned if p > 0)
@@ -132,7 +132,7 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
     reversed consecutive differences already form a partition, its transpose
     is that type and is used as a fast path.
     """
-    dims = tuple(int(v) for v in dims)
+    dims = strict_int_tuple(dims, "chain dimension")
     if not dims:
         raise ValueError("empty dimension chain")
     if dims[0] != 0:

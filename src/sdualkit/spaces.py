@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactalg import Value, strict_int, strict_ints, strict_object
+from .exactalg import Value, strict_int, strict_int_tuple, strict_ints, strict_object
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
@@ -37,7 +37,7 @@ class GroupDescriptor(Value):
 
     def __init__(self, kind: str, size: int = 0, factors: tuple = ()):
         self.kind = kind
-        self.size = int(size)
+        self.size = strict_int(size, "group size")
         self.factors = tuple(factors)
 
     @classmethod
@@ -214,7 +214,7 @@ class SpaceDescriptor(Value):
         if kind not in self.FIELDS:
             raise ValueError(f"unknown space kind {kind!r}")
         self.kind = kind
-        self.dim = int(dim)
+        self.dim = strict_int(dim, "dimension")
         self.left_group = left_group
         self.right_group = right_group
         self.group = group
@@ -362,7 +362,7 @@ class SpaceDescriptor(Value):
                 right_group=right_group if right_group is not None else _TRIVIAL,
                 theory=theory,
             )
-        vi, vj = (int(d) for d in dims)
+        vi, vj = strict_int_tuple(dims, "rep dimension")
         if vi < 0 or vj < 0:
             raise ValueError("rep dimensions must be nonnegative")
         left = left_group if left_group is not None else GroupDescriptor.gl(vi)
@@ -568,7 +568,7 @@ _CODECS = {
         lambda lam: list(lam.parts),
         lambda parts, key: Partition(strict_ints(parts, key)),
     ),
-    "rep_dims": (list, lambda dims, key: tuple(strict_ints(dims, key))),
+    "rep_dims": (list, strict_ints),
     "theory": (lambda theory: theory.to_json(), lambda doc, key: _theory_from_json(doc)),
     "factors": (
         lambda factors: [f.to_json() for f in factors],

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sdualkit.abelian_coulomb import (
+    CoulombElement,
     RankTooHighError,
     TorusTheory,
     multiply,
@@ -311,6 +312,19 @@ class TestElementAlgebra:
             t.monomial((1, 0), Polynomial.constant(1, 3))
         with pytest.raises(TypeError):
             t.monomial(5)
+
+    def test_construction_checks_each_cocharacter_once(self, monkeypatch):
+        t = TorusTheory(2, [[1, 0]], [[1, -1]])
+        checked = []
+        check = TorusTheory._check_cochar
+        monkeypatch.setattr(
+            TorusTheory, "_check_cochar", lambda self, lam: checked.append(lam) or check(self, lam)
+        )
+        x = CoulombElement(t, {(1, 1): 2, (1, 0): 3})
+        assert list(x.support) == [(1, 1)]
+        assert checked == [(1, 1), (1, 0)]
+        with pytest.raises(RankMismatchError):
+            CoulombElement(t, {(1, 1, 0): 1})
 
     def test_rendering(self):
         t = TorusTheory(1, [[1]])

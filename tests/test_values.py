@@ -1,4 +1,5 @@
-"""The one equality rule of the value types, and a guard that keeps it the only one."""
+"""The one equality rule of the value types, a guard that keeps it the only one,
+and the one integer check of their constructors."""
 
 import ast
 import pathlib
@@ -18,6 +19,7 @@ from sdualkit import (
     RingPresentation,
     SpaceDescriptor,
     TorusTheory,
+    chain_to_orbit,
     present_rank1,
 )
 from sdualkit.exactalg import Value
@@ -117,3 +119,28 @@ def test_the_value_base_holds_the_only_equality_rule():
     # Polynomial and CoulombElement hold dicts, which they hash as frozensets.
     assert _classes_defining("__eq__") - {"Value"} == set()
     assert _classes_defining("__hash__") - {"Value", "Polynomial", "CoulombElement"} == set()
+
+
+# Each builds from one entry that is not an int: bool and float never pass as one.
+NOT_INTS = {
+    "QuiverData": lambda bad: QuiverData([bad], [2]),
+    "BraneDiagram": lambda bad: BraneDiagram(["o"], [0, bad]),
+    "Partition": lambda bad: Partition([bad, 1]),
+    "chain_to_orbit": lambda bad: chain_to_orbit([0, bad, 2]),
+    "monomial": lambda bad: TorusTheory(1, [[1]]).monomial((bad,)),
+    "LinearForm": lambda bad: LinearForm([bad, 2]),
+    "TorusTheory.rank": lambda bad: TorusTheory(bad, []),
+    "Polynomial.exponent": lambda bad: Polynomial(1, {(bad,): 1}),
+    "Polynomial.coefficient": lambda bad: Polynomial(1, {(1,): bad}),
+    "Polynomial.constant": lambda bad: Polynomial.constant(1, bad),
+    "LinkingData": lambda bad: LinkingData([bad], []),
+    "GroupDescriptor": lambda bad: GroupDescriptor.gl(bad),
+    "SpaceDescriptor.rep_dims": lambda bad: SpaceDescriptor.cotangent_of_rep(dims=(bad, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, True], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("build", NOT_INTS.values(), ids=NOT_INTS.keys())
+def test_constructors_take_only_ints(build, bad):
+    with pytest.raises(ValueError, match="integer"):
+        build(bad)

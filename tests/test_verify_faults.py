@@ -1,0 +1,48 @@
+"""Faults planted in the code under test make the verify checks fail."""
+
+import random
+import types
+
+import pytest
+
+from sdualkit import abelian_coulomb, brane, verify
+
+FAULT_GAUGE, FAULT_FRAMING = (3, 1), (0, 2)
+
+
+def run_check(name):
+    return dict(verify.CHECKS)[name](random.Random(f"{verify.DEFAULT_SEED}:{name}"))
+
+
+CORRUPTIONS = {
+    "type": lambda d, dual: types.SimpleNamespace(branes=dual.branes, dims=dual.dims),
+    "word": lambda d, dual: d,
+    "dims": lambda d, dual: brane.BraneDiagram(dual.branes, dual.dims[:-2] + (dual.dims[-2] + 1, 0)),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_quiver_pipeline_names_the_corrupted_quiver(monkeypatch, corrupt):
+    target = brane.quiver_to_diagram(brane.QuiverData(FAULT_GAUGE, FAULT_FRAMING))
+    sdual = brane.sdual
+
+    def faulty_sdual(d):
+        return corrupt(d, sdual(d)) if d == target else sdual(d)
+
+    monkeypatch.setattr(brane, "sdual", faulty_sdual)
+    passed, detail = run_check("quiver-sdual-pipeline")
+    assert not passed
+    assert detail == f"pipeline mismatch for gauge {FAULT_GAUGE}, framing {FAULT_FRAMING}"
+
+
+def test_product_laws_fail_on_a_faulty_exponent_rule(monkeypatch):
+    exponents = abelian_coulomb._exponents
+
+    def faulty_exponents(p, q):
+        # one too many whenever the pairings have opposite signs
+        return tuple(d + (x * y < 0) for d, x, y in zip(exponents(p, q), p, q))
+
+    monkeypatch.setattr(abelian_coulomb, "_exponents", faulty_exponents)
+    passed, detail = run_check("coulomb-product-laws")
+    assert not passed
+    assert detail.startswith("value-level associativity failed")
