@@ -39,6 +39,7 @@ from .exactalg import (
     LinearForm,
     Polynomial,
     RankMismatchError,
+    UnsupportedInputError,
     Value,
     eval_product,
     integer_kernel,
@@ -49,7 +50,7 @@ from .exactalg import (
 )
 
 
-class RankTooHighError(ValueError):
+class RankTooHighError(UnsupportedInputError):
     """A rank-one presentation was requested for an effective rank above one."""
 
 
@@ -127,9 +128,6 @@ class TorusTheory(Value):
         """The element coeff * r[lam]; zero if lam meets a multiplicative weight."""
         return CoulombElement(self, {tuple(lam): coeff})
 
-    def one(self) -> "CoulombElement":
-        return self.monomial((0,) * self.rank)
-
     def zero(self) -> "CoulombElement":
         return CoulombElement(self, {})
 
@@ -154,6 +152,8 @@ class CoulombElement(Value):
             lam = theory._check_cochar(lam)
             if isinstance(coeff, int):
                 coeff = Polynomial.constant(theory.rank, coeff)
+            elif not isinstance(coeff, Polynomial):
+                raise ValueError(f"coefficient must be an integer or a Polynomial, got {coeff!r}")
             if coeff.rank != theory.rank:
                 raise RankMismatchError("coefficient rank does not match the theory")
             if coeff.is_zero() or not theory._annihilates(lam):
@@ -400,7 +400,7 @@ def cochar_box(rank: int, cutoff: int) -> list[Cochar]:
 
 
 def structure_constant_table(
-    theory: TorusTheory, cutoff: int = 5
+    theory: TorusTheory, cutoff: int
 ) -> list[tuple[Cochar, Cochar, Polynomial]]:
     """All products r[lam] * r[mu] with |lam|_inf, |mu|_inf <= cutoff.
 

@@ -16,15 +16,15 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import Value, strict_int_tuple, strict_ints, strict_object, text_ints
+from .exactalg import UnsupportedInputError, Value, strict_int_tuple, text_ints
 from .partitions import chain_to_orbit
 
 
-class NonAdmissibleMoveError(ValueError):
+class NonAdmissibleMoveError(UnsupportedInputError):
     """The requested transition would create a negative segment dimension."""
 
 
-class UnsupportedDiagramError(ValueError):
+class UnsupportedDiagramError(UnsupportedInputError):
     """The diagram is outside the families with a known space reading."""
 
 
@@ -78,13 +78,6 @@ class BraneDiagram(Value):
 
     def to_json(self) -> dict:
         return {"branes": list(self.branes), "dims": list(self.dims)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BraneDiagram":
-        branes = strict_object(data, "diagram", ("branes", "dims"), ())["branes"]
-        if not isinstance(branes, list) or not all(isinstance(b, str) for b in branes):
-            raise ValueError(f"diagram branes must be a list of strings, got {branes!r}")
-        return cls(branes, strict_ints(data["dims"], "diagram dimension"))
 
     def __len__(self) -> int:
         return len(self.branes)

@@ -21,7 +21,7 @@ from .abelian_coulomb import (
     reduce_multiplicative,
     structure_constant_table,
 )
-from .exactalg import MAX_DIGITS, TooLargeError, text_ints
+from .exactalg import MAX_DIGITS, TooLargeError, UnsupportedInputError, text_ints
 from .partitions import (
     Partition,
     centralizer_dim,
@@ -95,13 +95,8 @@ def _integers(doc) -> list[int]:
 
 
 UNSUPPORTED = (
-    TooLargeError,
+    UnsupportedInputError,
     RecursionError,  # a document nested deeper than the interpreter recurses
-    RankTooHighError,
-    brane.UnsupportedDiagramError,
-    brane.NonAdmissibleMoveError,
-    spaces.NoKnownDualError,
-    spaces.UnknownCoulombDimensionError,
     IndexError,
 )
 

@@ -58,7 +58,11 @@ def strict_object(data, what: str, required: Iterable[str], optional: Iterable[s
     return data
 
 
-class TooLargeError(ValueError):
+class UnsupportedInputError(ValueError):
+    """A valid input that is unsupported or too large; the CLI exits 3 on it."""
+
+
+class TooLargeError(UnsupportedInputError):
     """A valid input above one of the bounds on a command's work."""
 
 
@@ -180,14 +184,6 @@ class Polynomial(Value):
             raise ValueError("rank must be nonnegative")
         value = strict_int(value, "constant")
         return cls._trusted(rank, {(0,) * rank: value} if value else {})
-
-    @classmethod
-    def zero(cls, rank: int) -> "Polynomial":
-        return cls.constant(rank, 0)
-
-    @classmethod
-    def one(cls, rank: int) -> "Polynomial":
-        return cls.constant(rank, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -323,7 +319,7 @@ def _balanced_digits(value: int, k: int, count: int):
             yield position, digit
 
 
-def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = None) -> Polynomial:
+def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polynomial:
     """Expand prod_j a_j(w)^{e_j} exactly, by Kronecker substitution.
 
     The product is homogeneous of degree D = sum_j e_j, so setting the last
@@ -335,14 +331,9 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int | None = N
     forms with |c| in place of c, at w = 1, bounds it term by term), so
     k = bitlength(B) + 1, rounded up to whole bytes, keeps each balanced
     digit exact. In rank one the product is the single monomial
-    prod_j c_j^{e_j} w^D. ``rank`` is only needed to disambiguate the empty
-    product.
+    prod_j c_j^{e_j} w^D. Every form must have rank ``rank``.
     """
     factors = list(factors)
-    if rank is None:
-        if not factors:
-            raise ValueError("rank is required for an empty product")
-        rank = factors[0][0].rank
     degree, bound = 0, 1
     for form, exponent in factors:
         if form.rank != rank:

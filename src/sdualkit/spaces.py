@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactalg import Value, strict_int, strict_int_tuple, strict_ints, strict_object
+from .exactalg import (
+    UnsupportedInputError,
+    Value,
+    strict_int,
+    strict_int_tuple,
+    strict_ints,
+    strict_object,
+)
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
@@ -18,11 +25,11 @@ class GroupMismatchError(ValueError):
     """Composition attempted over mismatched middle groups."""
 
 
-class NoKnownDualError(ValueError):
-    """The descriptor kind has no entry in the dual-pair table."""
+class NoKnownDualError(UnsupportedInputError):
+    """The descriptor, or one of its actions, has no entry in the dual-pair table."""
 
 
-class UnknownCoulombDimensionError(ValueError):
+class UnknownCoulombDimensionError(UnsupportedInputError):
     """No rule gives the Coulomb-branch dimension of this matter space."""
 
 
@@ -577,20 +584,15 @@ _CODECS = {
 }
 
 
-def compose(
-    m12: SpaceDescriptor,
-    m23: SpaceDescriptor,
-    g2: GroupDescriptor,
-    free: bool = False,
-) -> SpaceDescriptor:
+def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> SpaceDescriptor:
     """Symplectic-reduction bookkeeping for m12 o m23 over the middle group.
 
-    The output dimension is dim m12 + dim m23 - 2 dim g2; when ``free`` is
-    unset the result is only an expected dimension and is flagged possibly
-    singular. The middle action on m12 is understood through the involution
-    swapping inverse conjugacy classes; that twist affects identifications
-    only, never dimensions, so it is carried as the ``right_twisted`` flag
-    of the surviving right action.
+    The output dimension is dim m12 + dim m23 - 2 dim g2, an expected
+    dimension only, since the middle action need not be free; the result is
+    flagged possibly singular. The middle action on m12 is understood through
+    the involution swapping inverse conjugacy classes; that twist affects
+    identifications only, never dimensions, so it is carried as the
+    ``right_twisted`` flag of the surviving right action.
     """
     def matches(g: GroupDescriptor) -> bool:
         # all trivial groups are the same group
@@ -605,21 +607,11 @@ def compose(
     if g2.is_trivial and m12.kind == "point" and m12.left_group.is_trivial:
         return m23
     dim = m12.dim + m23.dim - 2 * g2.dim
-    if (
-        free
-        and m12.kind == "cotangent_of_group"
-        and m23.kind == "cotangent_of_group"
-        and m12.group == m23.group == g2
-    ):
-        # Group multiplication collapses T*G o T*G back to T*G.
-        return SpaceDescriptor.cotangent_of_group(
-            g2, left_group=m12.left_group, right_group=m23.right_group
-        )
     return SpaceDescriptor.reduced(
         dim,
         left_group=m12.left_group,
         right_group=m23.right_group,
-        possibly_singular=not free,
+        possibly_singular=True,
         right_twisted=m23.right_twisted,
     )
 
@@ -640,8 +632,15 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     """Table-driven S-dual of a descriptor.
 
     Entries derived from the slice/cotangent exchange conjecture carry
-    ``conjecture=True``; kinds outside the table raise NoKnownDualError.
+    ``conjecture=True``; kinds outside the table, and a second action that
+    no entry has a rule for, raise NoKnownDualError.
     """
+    if not m.right_group.is_trivial and (
+        m.kind in ("torus_cotangent", "cotangent_of_group", "orbit_closure")
+        or m.theory is not None
+        or m.kind == "point" and not m.left_group.is_trivial
+    ):
+        raise NoKnownDualError(f"no dual rule for {m.kind} with a second action, {m.right_group}")
     if m.kind == "cotangent_of_rep" and m.theory is not None:
         from .abelian_coulomb import sdual_torus
 
@@ -666,8 +665,6 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
         return SpaceDescriptor.point(GroupDescriptor.torus(m.size))
 
     if m.kind == "cotangent_of_group":
-        if not m.right_group.is_trivial:
-            raise NoKnownDualError("two-sided cotangent of a group is not in the table")
         n = m.group.size
         return SpaceDescriptor.orbit_closure(n, Partition((n,) if n else ()))
 

@@ -81,9 +81,9 @@ def check_coulomb_presentations(rng: random.Random) -> tuple[bool, str]:
 # product laws and grading
 # ---------------------------------------------------------------------------
 
-def _random_theories(rng: random.Random, count: int = 200) -> list[TorusTheory]:
+def _random_theories(rng: random.Random) -> list[TorusTheory]:
     out = []
-    for _ in range(count):
+    for _ in range(200):
         r = rng.randint(1, 3)
         n_weights = rng.randint(0, 4)
         weights = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n_weights)]
@@ -281,15 +281,13 @@ def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
 # brane moves
 # ---------------------------------------------------------------------------
 
-def random_diagram(
-    rng: random.Random, max_branes: int = 12, max_dim: int = 9, require_move: bool = True
-) -> brane.BraneDiagram:
+def random_diagram(rng: random.Random) -> brane.BraneDiagram:
     while True:
-        n = rng.randint(1, max_branes)
+        n = rng.randint(1, 12)
         branes = [rng.choice((brane.NS5, brane.D5)) for _ in range(n)]
-        dims = [0] + [rng.randint(0, max_dim) for _ in range(n - 1)] + [0]
+        dims = [0] + [rng.randint(0, 9) for _ in range(n - 1)] + [0]
         d = brane.BraneDiagram(branes, dims)
-        if not require_move or brane.admissible_moves(d):
+        if brane.admissible_moves(d):
             return d
 
 

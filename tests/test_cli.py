@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from sdualkit import cli
-from sdualkit.abelian_coulomb import TorusTheory, structure_constant_table
+from sdualkit import brane, cli, spaces
+from sdualkit.abelian_coulomb import RankTooHighError, TorusTheory, structure_constant_table
 from sdualkit.brane import BraneDiagram
+from sdualkit.exactalg import TooLargeError, UnsupportedInputError
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -164,7 +165,7 @@ class TestDiagramCommand:
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(["diagram", "sdual", "--json", "0 o 1 x 1 o 0"], capsys)
         assert code == 0
-        assert BraneDiagram.from_json(json.loads(out)) == BraneDiagram.parse("0 x 1 o 1 x 0")
+        assert json.loads(out) == BraneDiagram.parse("0 x 1 o 1 x 0").to_json()
 
     def test_bad_grammar_exit_2(self, capsys):
         code, _, err = run_cli(["diagram", "sdual", "0 o 1 x"], capsys)
@@ -460,6 +461,19 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         assert cli.main(["coulomb", "/nonexistent/file.json"]) == 2
         capsys.readouterr()
+
+    def test_one_base_for_unsupported_input(self):
+        assert cli.UNSUPPORTED == (UnsupportedInputError, RecursionError, IndexError)
+        errors = (
+            TooLargeError,
+            RankTooHighError,
+            brane.UnsupportedDiagramError,
+            brane.NonAdmissibleMoveError,
+            spaces.NoKnownDualError,
+            spaces.UnknownCoulombDimensionError,
+        )
+        assert all(issubclass(error, UnsupportedInputError) for error in errors)
+        assert issubclass(UnsupportedInputError, ValueError)
 
 
 class TestSubprocess:

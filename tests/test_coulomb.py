@@ -56,7 +56,7 @@ class TestStructureExponents:
 class TestMultiply:
     def test_pure_torus_translation(self):
         t = TorusTheory(1, [])
-        assert multiply(t, t.monomial((1,)), t.monomial((-1,))) == t.one()
+        assert multiply(t, t.monomial((1,)), t.monomial((-1,))) == t.monomial((0,))
 
     def test_three_flavors(self):
         t = TorusTheory(1, [[1], [1], [1]])
@@ -165,7 +165,7 @@ class TestMultiplicativeReduction:
         assert t.monomial((1, 0)).is_zero()
         x = t.monomial((1, 1))
         y = t.monomial((-1, -1))
-        assert multiply(t, x, y) == t.one()
+        assert multiply(t, x, y) == t.monomial((0, 0))
 
 
 class TestPresentation:
@@ -295,11 +295,11 @@ class TestElementAlgebra:
     def test_mixed_theory_rejected(self):
         t1, t2 = TorusTheory(1, [[1]]), TorusTheory(1, [[2]])
         with pytest.raises(ValueError):
-            multiply(t1, t1.one(), t2.one())
+            multiply(t1, t1.monomial((0,)), t2.monomial((0,)))
 
     def test_scalar_multiplication(self):
         t = TorusTheory(1, [])
-        assert 3 * t.one() == t.monomial((0,), 3)
+        assert 3 * t.monomial((0,)) == t.monomial((0,), 3)
 
     def test_monomial_checks_its_input(self):
         t = TorusTheory(2, [[1, 0]])
@@ -312,6 +312,9 @@ class TestElementAlgebra:
             t.monomial((1, 0), Polynomial.constant(1, 3))
         with pytest.raises(TypeError):
             t.monomial(5)
+        for coeff in ("3", None, [3]):
+            with pytest.raises(ValueError, match="coefficient must be an integer or a Polynomial"):
+                t.monomial((1, 0), coeff)
 
     def test_construction_checks_each_cocharacter_once(self, monkeypatch):
         t = TorusTheory(2, [[1, 0]], [[1, -1]])
@@ -329,5 +332,5 @@ class TestElementAlgebra:
     def test_rendering(self):
         t = TorusTheory(1, [[1]])
         assert str(t.zero()) == "0"
-        assert str(t.one()) == "r[0]"
+        assert str(t.monomial((0,))) == "r[0]"
         assert str(t.monomial((1,), Polynomial(1, {(2,): 4}))) == "4*w^2*r[1]"

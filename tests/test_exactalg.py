@@ -185,15 +185,15 @@ class TestPolynomial:
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(RankMismatchError):
-            Polynomial.one(1) + Polynomial.one(2)
+            Polynomial.constant(1, 1) + Polynomial.constant(2, 1)
 
     def test_constants(self):
-        assert Polynomial.constant(2, 0).terms == {} == Polynomial.zero(2).terms
+        assert Polynomial.constant(2, 0).terms == {}
         assert Polynomial.constant(2, -3).terms == {(0, 0): -3}
-        assert Polynomial.one(0).terms == {(): 1}
-        for build in (Polynomial.zero, Polynomial.one):
+        assert Polynomial.constant(0, 1).terms == {(): 1}
+        for value in (0, 1):
             with pytest.raises(ValueError):
-                build(-1)
+                Polynomial.constant(-1, value)
 
     def test_homogeneous_degree(self):
         assert Polynomial(2, {(1, 1): 3, (2, 0): -1}).homogeneous_degree() == 2
@@ -201,8 +201,8 @@ class TestPolynomial:
         assert Polynomial.constant(1, 5).homogeneous_degree() == 0
 
     def test_rendering(self):
-        assert str(Polynomial.zero(1)) == "0"
-        assert str(Polynomial.one(1)) == "1"
+        assert str(Polynomial.constant(1, 0)) == "0"
+        assert str(Polynomial.constant(1, 1)) == "1"
         assert str(Polynomial(1, {(2,): 4})) == "4*w^2"
         assert str(Polynomial(1, {(1,): 1, (0,): -3})) == "w - 3"
         assert str(Polynomial(2, {(1, 2): 1})) == "w1*w2^2"
@@ -211,18 +211,13 @@ class TestPolynomial:
 
 class TestEvalProduct:
     def test_single_weight(self):
-        assert eval_product([(LinearForm([1]), 1)]) == Polynomial(1, {(1,): 1})
+        assert eval_product([(LinearForm([1]), 1)], rank=1) == Polynomial(1, {(1,): 1})
 
     def test_weight_power(self):
-        assert eval_product([(LinearForm([1]), 3)]) == Polynomial(1, {(3,): 1})
+        assert eval_product([(LinearForm([1]), 3)], rank=1) == Polynomial(1, {(3,): 1})
 
     def test_scaled_weight(self):
-        assert eval_product([(LinearForm([2]), 2)]) == Polynomial(1, {(2,): 4})
-
-    def test_empty_product_needs_rank(self):
-        assert eval_product([], rank=2) == Polynomial.one(2)
-        with pytest.raises(ValueError):
-            eval_product([])
+        assert eval_product([(LinearForm([2]), 2)], rank=1) == Polynomial(1, {(2,): 4})
 
     def test_multiplicative(self):
         rng = random.Random(5)
@@ -240,7 +235,7 @@ class TestEvalProduct:
 
     def test_mismatched_ranks_rejected(self):
         with pytest.raises(RankMismatchError):
-            eval_product([(LinearForm([1]), 1), (LinearForm([1, 0]), 1)])
+            eval_product([(LinearForm([1]), 1), (LinearForm([1, 0]), 1)], rank=1)
 
     def test_matches_sympy_expansion(self):
         # Independent oracle: sympy expands the same product of linear forms.
@@ -304,5 +299,5 @@ class TestEvalProduct:
             got = eval_product(factors, rank=rank)
             assert got.rank == rank
             assert got.terms == self._sympy_terms(factors, rank), (rank, spec)
-        assert eval_product([(LinearForm([1, 2, 3]), 2), (LinearForm([0, 0, 0]), 1)]).is_zero()
-        assert eval_product([], rank=0) == Polynomial.one(0)
+        assert eval_product([(LinearForm([1, 2, 3]), 2), (LinearForm([0, 0, 0]), 1)], rank=3).is_zero()
+        assert eval_product([], rank=0) == Polynomial.constant(0, 1)

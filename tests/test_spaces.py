@@ -159,13 +159,6 @@ class TestCompose:
         )
         assert compose(m, SpaceDescriptor.point(), GroupDescriptor.trivial()) == m
 
-    def test_group_multiplication_model(self):
-        g = GroupDescriptor.gl(3)
-        tg = SpaceDescriptor.cotangent_of_group(g, left_group=g, right_group=g)
-        result = compose(tg, tg, g, free=True)
-        assert result.kind == "cotangent_of_group"
-        assert result.dim == 18
-
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             compose(
@@ -198,13 +191,6 @@ class TestCompose:
     def test_not_free_marked_possibly_singular(self):
         out = compose(SpaceDescriptor.m_circle(0, 2), SpaceDescriptor.m_circle(2, 2), GroupDescriptor.gl(2))
         assert out.possibly_singular
-        free = compose(
-            SpaceDescriptor.m_circle(0, 2),
-            SpaceDescriptor.m_circle(2, 2),
-            GroupDescriptor.gl(2),
-            free=True,
-        )
-        assert not free.possibly_singular
 
 
 class TestDualPairTable:
@@ -266,6 +252,26 @@ class TestDualPairTable:
             sdual_pair(SpaceDescriptor.type_a_singularity(2))
         with pytest.raises(NoKnownDualError):
             sdual_pair(SpaceDescriptor.reduced(4))
+
+    def test_a_second_action_has_no_dual(self):
+        gl2, gl3 = GroupDescriptor.gl(2), GroupDescriptor.gl(3)
+        theory = TorusTheory(1, [[1], [1]])
+        two_sided = [
+            SpaceDescriptor.torus_cotangent(2, right_group=gl2),
+            SpaceDescriptor.point(gl2, right_group=gl3),
+            SpaceDescriptor.cotangent_of_rep(theory=theory, right_group=gl2),
+            SpaceDescriptor.cotangent_of_group(gl3, right_group=gl2),
+            SpaceDescriptor.orbit_closure(3, [2, 1], right_group=gl2),
+        ]
+        for m in two_sided:
+            with pytest.raises(NoKnownDualError, match="second action"):
+                sdual_pair(m)
+        # A point acted on from one side, and each descriptor above without its
+        # right action, keep their entries.
+        assert sdual_pair(SpaceDescriptor.point(right_group=gl3)).dim == 12
+        trivial = {"kind": "torus", "rank": 0}
+        for m in two_sided:
+            sdual_pair(SpaceDescriptor.from_json({**m.to_json(), "right_group": trivial}))
 
 
 class TestKostant:

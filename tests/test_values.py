@@ -128,6 +128,7 @@ NOT_INTS = {
     "Partition": lambda bad: Partition([bad, 1]),
     "chain_to_orbit": lambda bad: chain_to_orbit([0, bad, 2]),
     "monomial": lambda bad: TorusTheory(1, [[1]]).monomial((bad,)),
+    "CoulombElement.coefficient": lambda bad: TorusTheory(1, [[1]]).monomial((1,), bad),
     "LinearForm": lambda bad: LinearForm([bad, 2]),
     "TorusTheory.rank": lambda bad: TorusTheory(bad, []),
     "Polynomial.exponent": lambda bad: Polynomial(1, {(bad,): 1}),
