@@ -131,9 +131,6 @@ class TorusTheory(Value):
     def zero(self) -> "CoulombElement":
         return CoulombElement(self, {})
 
-    def __repr__(self) -> str:
-        return f"TorusTheory({self.describe()})"
-
 
 class CoulombElement(Value):
     """Finitely supported map from cocharacters to polynomial coefficients.
@@ -207,9 +204,6 @@ class CoulombElement(Value):
 
     __rmul__ = __mul__
 
-    def __hash__(self) -> int:
-        return hash((self.theory, frozenset(self.support.items())))
-
     def doubled_degrees(self) -> set[int]:
         """Doubled total degrees of all terms (monopole part plus 2 per w)."""
         out = set()
@@ -237,9 +231,6 @@ class CoulombElement(Value):
             else:
                 parts.append(f"({coeff})*{label}")
         return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<CoulombElement {self}>"
 
 
 def _pairings(forms: Sequence[LinearForm], lam: Cochar) -> tuple[int, ...]:
@@ -335,9 +326,6 @@ class RingPresentation(Value):
             return "point"
         names = ", ".join(name for name, _ in self.variables)
         return f"C[{names}] / (x*y = {self.relation})  [{self.variety_name()}]"
-
-    def __repr__(self) -> str:
-        return f"<RingPresentation {self}>"
 
     def to_json(self) -> dict:
         if self.space.kind == "point":

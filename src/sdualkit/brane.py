@@ -85,9 +85,6 @@ class BraneDiagram(Value):
     def __str__(self) -> str:
         return self.render()
 
-    def __repr__(self) -> str:
-        return f"BraneDiagram({self.render()!r})"
-
 
 class QuiverData(Value):
     """A linear quiver: gauge ranks v_1..v_l and framing ranks w_1..w_l."""
@@ -102,9 +99,6 @@ class QuiverData(Value):
         if min(self.gauge + self.framing, default=0) < 0:
             raise ValueError("quiver dimensions must be nonnegative")
 
-    def __repr__(self) -> str:
-        return f"QuiverData(gauge={list(self.gauge)}, framing={list(self.framing)})"
-
 
 class LinkingData(Value):
     """Multisets of linking numbers, one per fivebrane type."""
@@ -117,9 +111,6 @@ class LinkingData(Value):
 
     def __str__(self) -> str:
         return f"ns5 {list(self.ns5)}  d5 {list(self.d5)}"
-
-    def __repr__(self) -> str:
-        return f"LinkingData(ns5={list(self.ns5)}, d5={list(self.d5)})"
 
     def to_json(self) -> dict:
         return {"ns5": list(self.ns5), "d5": list(self.d5)}

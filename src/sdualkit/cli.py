@@ -228,8 +228,12 @@ def _cmd_diagram(args) -> int:
 
 def _cmd_orbit(args) -> int:
     if args.action == "chain":
-        text = ",".join(args.args)
-        dims = text_ints(text.replace(",", " ").split(), "chain entry")
+        # Entries are separated by commas or whitespace; no entry between two
+        # separators is empty, and an empty chain is left to chain_to_orbit.
+        entries = [piece.split() for arg in args.args for piece in arg.split(",")]
+        if len(entries) > 1 and [] in entries:
+            raise ValueError(f"empty entry in the chain {','.join(args.args)!r}")
+        dims = text_ints([token for piece in entries for token in piece], "chain entry")
         _bound("chain length", len(dims) - 1, MAX_CHAIN)
         _bound("chain entry", max(dims, default=0), MAX_CHAIN)
         # The orbit-closure reading, printed even where it is a point (all parts 1).

@@ -104,7 +104,10 @@ def _extgcd(a: int, b: int) -> tuple[int, int, int]:
 
 class Value:
     """Base of the value types: a value equals only a value of exactly its own
-    class whose ``__slots__`` hold equal values, and equal values hash alike."""
+    class whose ``__slots__`` hold equal values, and equal values hash alike,
+    a dict slot hashing as its items. Its repr is the constructor call that
+    rebuilds it, every slot passed by name: each value type's ``__init__``
+    takes its slots as parameters of the same names."""
 
     __slots__ = ()
 
@@ -117,7 +120,12 @@ class Value:
         return self._slot_values(self) == other._slot_values(other)
 
     def __hash__(self) -> int:
-        return hash(self._slot_values(self))
+        values = (getattr(self, name) for name in self.__slots__)
+        return hash(tuple(frozenset(v.items()) if type(v) is dict else v for v in values))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 class LinearForm(Value):
@@ -138,9 +146,6 @@ class LinearForm(Value):
                 f"form of rank {len(self.coeffs)} paired with vector of length {len(cochar)}"
             )
         return sum(c * x for c, x in zip(self.coeffs, cochar))
-
-    def __repr__(self) -> str:
-        return f"LinearForm({list(self.coeffs)!r})"
 
 
 class Polynomial(Value):
@@ -232,9 +237,6 @@ class Polynomial(Value):
 
     __rmul__ = __mul__
 
-    def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if inhomogeneous or zero."""
         degrees = {sum(e) for e in self.terms}
@@ -271,9 +273,6 @@ class Polynomial(Value):
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
-
-    def __repr__(self) -> str:
-        return f"Polynomial(rank={self.rank}, {str(self)!r})"
 
 
 def _mul_terms(a: dict, b: dict) -> dict:

@@ -49,9 +49,6 @@ class Partition(Value):
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)!r})"
-
 
 def _as_partition(lam) -> Partition:
     return lam if isinstance(lam, Partition) else Partition(lam)
@@ -142,11 +139,9 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
     steps = len(dims) - 1
     target = dims[-1]
     deltas = tuple(dims[i + 1] - dims[i] for i in reversed(range(steps)))
-    if (
-        steps
-        and all(d >= 0 for d in deltas)
-        and all(deltas[i] >= deltas[i + 1] for i in range(len(deltas) - 1))
-    ):
+    if any(d < 0 for d in deltas):
+        raise ValueError(f"dimension chain {list(dims)} is not weakly increasing")
+    if steps and all(deltas[i] >= deltas[i + 1] for i in range(len(deltas) - 1)):
         return transpose(Partition(d for d in deltas if d))
     feasible = [
         p

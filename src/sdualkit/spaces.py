@@ -57,7 +57,7 @@ class GroupDescriptor(Value):
     def gl(cls, n: int) -> "GroupDescriptor":
         if n < 0:
             raise ValueError("gl size must be nonnegative")
-        return cls("gl", n)
+        return cls("gl", n) if n else cls.trivial()
 
     @classmethod
     def trivial(cls) -> "GroupDescriptor":
@@ -103,9 +103,6 @@ class GroupDescriptor(Value):
         if self.kind == "gl":
             return f"GL({self.size})"
         return " x ".join(str(f) for f in self.factors)
-
-    def __repr__(self) -> str:
-        return f"GroupDescriptor({self.kind!r}, {self.size}, {self.factors!r})"
 
     def to_json(self) -> dict:
         if self.kind == "product":
@@ -498,9 +495,6 @@ class SpaceDescriptor(Value):
             out += " [possibly singular]"
         return out
 
-    def __repr__(self) -> str:
-        return f"<SpaceDescriptor {self}>"
-
     # ---- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
@@ -594,11 +588,7 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
     identifications only, never dimensions, so it is carried as the
     ``right_twisted`` flag of the surviving right action.
     """
-    def matches(g: GroupDescriptor) -> bool:
-        # all trivial groups are the same group
-        return g == g2 or (g.is_trivial and g2.is_trivial)
-
-    if not (matches(m12.right_group) and matches(m23.left_group)):
+    if not (m12.right_group == g2 == m23.left_group):
         raise GroupMismatchError(
             f"middle group {g2} does not match {m12.right_group} / {m23.left_group}"
         )
@@ -617,10 +607,10 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
 
 
 def _is_m_cross(m: SpaceDescriptor) -> tuple[int, int] | None:
-    """(vi, vj) if m is the block m_cross(vi, vj) between its gl actions, flags
-    aside; else None."""
+    """(vi, vj) if m is the block m_cross(vi, vj) between its actions, gl(vi)
+    and gl(vj) (gl(0) is the trivial group), flags aside; else None."""
     left, right = m.left_group, m.right_group
-    if left.kind != "gl" or right.kind != "gl":
+    if not all(g.kind == "gl" or g.is_trivial for g in (left, right)):
         return None
     block = SpaceDescriptor.m_cross(left.size, right.size)
     if (m.kind, m.dim, m._payload()) != (block.kind, block.dim, block._payload()):
@@ -631,34 +621,43 @@ def _is_m_cross(m: SpaceDescriptor) -> tuple[int, int] | None:
 def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     """Table-driven S-dual of a descriptor.
 
-    Entries derived from the slice/cotangent exchange conjecture carry
-    ``conjecture=True``; kinds outside the table, and a second action that
-    no entry has a rule for, raise NoKnownDualError.
+    The dual group of each acting group is identified with the group itself,
+    so the dual is acted on by the same left and right groups as ``m``; an
+    entry whose dual does not keep them raises NoKnownDualError, as do kinds
+    outside the table. Entries derived from the slice/cotangent exchange
+    conjecture carry ``conjecture=True``.
     """
-    if not m.right_group.is_trivial and (
-        m.kind in ("torus_cotangent", "cotangent_of_group", "orbit_closure")
-        or m.theory is not None
-        or m.kind == "point" and not m.left_group.is_trivial
-    ):
-        raise NoKnownDualError(f"no dual rule for {m.kind} with a second action, {m.right_group}")
+    dual = _table_entry(m)
+    if (dual.left_group, dual.right_group) != (m.left_group, m.right_group):
+        raise _lost_actions(m)
+    return dual
+
+
+def _lost_actions(m: SpaceDescriptor) -> NoKnownDualError:
+    return NoKnownDualError(
+        f"no dual of this {m.kind} keeps its acting groups {m.left_group} | {m.right_group}"
+    )
+
+
+def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
+    """The dual-pair table entry of m's kind, which sdual_pair checks."""
     if m.kind == "cotangent_of_rep" and m.theory is not None:
         from .abelian_coulomb import sdual_torus
 
         return sdual_torus(m.theory)
 
     if m.kind == "point":
-        carrier = m.left_group if not m.left_group.is_trivial else m.right_group
+        # A point under G from one side: G times its principal slice, on that side.
+        if not (m.left_group.is_trivial or m.right_group.is_trivial):
+            raise _lost_actions(m)
+        carrier = m.right_group if m.left_group.is_trivial else m.left_group
+        sides = {"left_group": m.left_group, "right_group": m.right_group}
         if carrier.is_trivial:
-            return SpaceDescriptor.point(m.left_group, right_group=m.right_group)
+            return SpaceDescriptor.point(**sides)
         if carrier.kind == "torus":
-            return SpaceDescriptor.torus_cotangent(carrier.size, left_group=carrier)
+            return SpaceDescriptor.torus_cotangent(carrier.size, **sides)
         if carrier.kind == "gl":
-            return SpaceDescriptor.group_times_slice(
-                carrier,
-                Partition((carrier.size,)),
-                left_group=m.left_group,
-                right_group=m.right_group,
-            )
+            return SpaceDescriptor.group_times_slice(carrier, Partition((carrier.size,)), **sides)
         raise NoKnownDualError(f"no dual rule for a point under {carrier}")
 
     if m.kind == "torus_cotangent":
@@ -666,7 +665,7 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
 
     if m.kind == "cotangent_of_group":
         n = m.group.size
-        return SpaceDescriptor.orbit_closure(n, Partition((n,) if n else ()))
+        return SpaceDescriptor.orbit_closure(n, Partition((n,)))
 
     if m.kind == "group_times_slice":
         if m.right_group.is_trivial:
@@ -681,12 +680,8 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
             GroupDescriptor.gl(m.size), transpose(m.partition)
         )
 
-    if m.kind == "cotangent_of_rep" and m.rep_dims is not None:
-        if m.left_group == GroupDescriptor.gl(m.rep_dims[0]) and m.right_group == GroupDescriptor.gl(
-            m.rep_dims[1]
-        ):
-            return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
-        raise NoKnownDualError("cotangent of a two-sided rep needs gl actions on both sides")
+    if m.kind == "cotangent_of_rep":
+        return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
 
     if m.kind == "product":
         pair = _is_m_cross(m)

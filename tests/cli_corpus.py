@@ -17,7 +17,8 @@ Rewrite the corpus from the current sources with
     PYTHONPATH=src python tests/cli_corpus.py
 
 or list the lines that the current sources change, without writing, with
-``--diff``. ``tests/test_cli_corpus.py`` replays it.
+``--diff``, which exits 1 if any line changed and 0 otherwise.
+``tests/test_cli_corpus.py`` replays it.
 """
 
 from __future__ import annotations
@@ -428,7 +429,7 @@ def main() -> int:
                 print(f"  now: {_line({k: v for k, v in after.items() if k not in ('argv', 'stdin', 'env')})}")
         if len(old) != len(records):
             print(f"{len(old)} lines before, {len(records)} now")
-        return 0
+        return int(old != records)
     CORPUS.write_text("".join(_line(r) + "\n" for r in records), encoding="utf-8")
     print(f"wrote {len(records)} lines to {CORPUS}")
     return 0

@@ -217,6 +217,19 @@ class TestOrbitCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    def test_chain_empty_entry_exit_2(self, capsys):
+        # was read as 0,1, the empty entry dropped
+        for chain in (["0,,1"], ["0,1,"], ["0", "", "1"]):
+            code, out, err = run_cli(["orbit", "chain", *chain], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: empty entry")
+
+    def test_chain_decreasing_exit_2(self, capsys):
+        # was read through the brute force as OrbitClosure[1] in gl(1)
+        code, out, err = run_cli(["orbit", "chain", "0,3,1"], capsys)
+        assert (code, out) == (2, "")
+        assert "not weakly increasing" in err
+
     def test_chain_non_ascii_digit_exit_2(self, capsys):
         # int() reads the Arabic-Indic digit three as 3
         code, out, err = run_cli(["orbit", "chain", "0,\u0663"], capsys)

@@ -161,6 +161,10 @@ class TestChainToOrbit:
         with pytest.raises(ValueError):
             chain_to_orbit((1, 2))
 
+    def test_requires_a_weakly_increasing_chain(self):
+        with pytest.raises(ValueError, match="not weakly increasing"):
+            chain_to_orbit((0, 3, 1))
+
     def test_fast_path_matches_brute_force(self):
         rng = random.Random(31)
         for _ in range(120):

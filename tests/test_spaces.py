@@ -31,7 +31,7 @@ class TestGroupDescriptor:
 
     def test_trivial_and_normalization(self):
         assert GroupDescriptor.trivial().is_trivial
-        assert GroupDescriptor.gl(0).is_trivial
+        assert GroupDescriptor.gl(0) == GroupDescriptor.torus(0) == GroupDescriptor.trivial()
         assert GroupDescriptor.product([]) == GroupDescriptor.trivial()
         assert GroupDescriptor.product([GroupDescriptor.gl(2)]) == GroupDescriptor.gl(2)
 
@@ -54,6 +54,11 @@ class TestDescriptorConstruction:
         assert SpaceDescriptor.m_circle(2, 3).dim == 12
         with pytest.raises(ValueError):
             SpaceDescriptor.orbit_closure(3, [2, 2])
+
+    def test_the_trivial_group_carries_the_point(self):
+        gl0 = GroupDescriptor.gl(0)
+        assert SpaceDescriptor.cotangent_of_group(gl0) == SpaceDescriptor.point()
+        assert SpaceDescriptor.group_times_slice(gl0, ()) == SpaceDescriptor.point()
 
     def test_zero_slice_is_whole_group_cotangent(self):
         d = SpaceDescriptor.group_times_slice(GroupDescriptor.gl(3), [1, 1, 1])
@@ -253,25 +258,40 @@ class TestDualPairTable:
         with pytest.raises(NoKnownDualError):
             sdual_pair(SpaceDescriptor.reduced(4))
 
-    def test_a_second_action_has_no_dual(self):
+    def test_the_dual_keeps_the_acting_groups(self):
         gl2, gl3 = GroupDescriptor.gl(2), GroupDescriptor.gl(3)
         theory = TorusTheory(1, [[1], [1]])
-        two_sided = [
+        lost = [
+            # a second action
             SpaceDescriptor.torus_cotangent(2, right_group=gl2),
             SpaceDescriptor.point(gl2, right_group=gl3),
             SpaceDescriptor.cotangent_of_rep(theory=theory, right_group=gl2),
             SpaceDescriptor.cotangent_of_group(gl3, right_group=gl2),
             SpaceDescriptor.orbit_closure(3, [2, 1], right_group=gl2),
+            # a left action other than the one the entry assumes
+            SpaceDescriptor.torus_cotangent(2, left_group=gl3),
+            SpaceDescriptor.cotangent_of_rep(theory=theory, left_group=gl2),
+            SpaceDescriptor.orbit_closure(3, [2, 1], left_group=gl2),
+            SpaceDescriptor.cotangent_of_group(gl3, left_group=gl2),
+            SpaceDescriptor.group_times_slice(gl3, [2, 1], left_group=gl2),
         ]
-        for m in two_sided:
-            with pytest.raises(NoKnownDualError, match="second action"):
+        for m in lost:
+            with pytest.raises(NoKnownDualError, match="keeps its acting groups"):
                 sdual_pair(m)
-        # A point acted on from one side, and each descriptor above without its
-        # right action, keep their entries.
-        assert sdual_pair(SpaceDescriptor.point(right_group=gl3)).dim == 12
-        trivial = {"kind": "torus", "rank": 0}
-        for m in two_sided:
-            sdual_pair(SpaceDescriptor.from_json({**m.to_json(), "right_group": trivial}))
+        # Each descriptor above under its own group on the left, and nothing on
+        # the right, keeps its entry.
+        for m in lost:
+            doc = {k: v for k, v in m.to_json().items() if k not in ("left_group", "right_group")}
+            m = SpaceDescriptor.from_json(doc)
+            dual = sdual_pair(m)
+            assert (dual.left_group, dual.right_group) == (m.left_group, m.right_group)
+
+    def test_a_point_acted_on_from_one_side_keeps_that_side(self):
+        for g in (GroupDescriptor.gl(3), GroupDescriptor.torus(2)):
+            for left, right in ((g, GroupDescriptor.trivial()), (GroupDescriptor.trivial(), g)):
+                dual = sdual_pair(SpaceDescriptor.point(left, right_group=right))
+                assert (dual.left_group, dual.right_group) == (left, right)
+                assert dual.dim == g.dim + g.rank
 
 
 class TestKostant:

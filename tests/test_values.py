@@ -1,5 +1,5 @@
-"""The one equality rule of the value types, a guard that keeps it the only one,
-and the one integer check of their constructors."""
+"""The one equality, hash and repr rule of the value types, a guard that keeps
+it the only one, and the one integer check of their constructors."""
 
 import ast
 import pathlib
@@ -89,6 +89,30 @@ def test_classes_with_the_same_slot_values_differ(a, b):
     assert a not in {b} and b not in {a}
 
 
+@pytest.mark.parametrize("cls", FACTORIES, ids=lambda cls: cls.__name__)
+def test_a_repr_rebuilds_its_value(cls):
+    a = FACTORIES[cls]()
+    namespace = {c.__name__: c for c in _subclasses(Value)}
+    assert eval(repr(a), namespace) == a
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # r[1] in two theories
+        (TorusTheory(1, [[1]]).monomial((1,)), TorusTheory(1, [[2]]).monomial((1,))),
+        # T*(C^x) under T(1) and under T(2)
+        (
+            SpaceDescriptor.torus_cotangent(1),
+            SpaceDescriptor.torus_cotangent(1, left_group=GroupDescriptor.torus(2)),
+        ),
+    ],
+)
+def test_unequal_values_print_apart(a, b):
+    assert str(a) == str(b)
+    assert a != b and repr(a) != repr(b)
+
+
 def test_a_constant_polynomial_is_not_an_int():
     five = Polynomial.constant(1, 5)
     assert five != 5 and 5 != five and not five == 5
@@ -115,10 +139,9 @@ def _classes_defining(name: str) -> set[str]:
     return found
 
 
-def test_the_value_base_holds_the_only_equality_rule():
-    # Polynomial and CoulombElement hold dicts, which they hash as frozensets.
-    assert _classes_defining("__eq__") - {"Value"} == set()
-    assert _classes_defining("__hash__") - {"Value", "Polynomial", "CoulombElement"} == set()
+def test_the_value_base_holds_the_only_equality_hash_and_repr_rules():
+    for name in ("__eq__", "__hash__", "__repr__"):
+        assert _classes_defining(name) == {"Value"}, name
 
 
 # Each builds from one entry that is not an int: bool and float never pass as one.
