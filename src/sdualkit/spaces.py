@@ -4,6 +4,10 @@ Spaces are tracked as tagged records (kind, acting groups, complex dimension,
 partition data), never as actual varieties. The module provides symplectic-
 reduction bookkeeping, the built-in table of S-dual pairs, the Kostant
 reduction dimension identity, and the hyperspherical dimension heuristic.
+
+The table is side-symmetric: a space acted on from one side has its dual
+acted on from that side, and dualizes back. Only the brane building blocks,
+a product or a slice block with both sides non-trivial, are two-sided.
 """
 
 from __future__ import annotations
@@ -49,13 +53,13 @@ class GroupDescriptor(Value):
 
     @classmethod
     def torus(cls, r: int) -> "GroupDescriptor":
-        if r < 0:
+        if strict_int(r, "group size") < 0:
             raise ValueError("torus rank must be nonnegative")
         return cls("torus", r)
 
     @classmethod
     def gl(cls, n: int) -> "GroupDescriptor":
-        if n < 0:
+        if strict_int(n, "group size") < 0:
             raise ValueError("gl size must be nonnegative")
         return cls("gl", n) if n else cls.trivial()
 
@@ -179,7 +183,7 @@ class SpaceDescriptor(Value):
     # Payload keys a document may leave out: cotangent_of_rep takes exactly one
     # of dims / theory, and an orbit closure's group follows from n.
     OPTIONAL = {"cotangent_of_rep": ("dims", "theory"), "orbit_closure": ("group",)}
-    FLAGS = ("conjecture", "possibly_singular", "right_twisted")
+    FLAGS = ("conjecture", "possibly_singular")
 
     __slots__ = (
         "kind",
@@ -195,7 +199,6 @@ class SpaceDescriptor(Value):
         "factors",
         "conjecture",
         "possibly_singular",
-        "right_twisted",
     )
 
     def __init__(
@@ -213,7 +216,6 @@ class SpaceDescriptor(Value):
         factors: tuple = (),
         conjecture: bool = False,
         possibly_singular: bool = False,
-        right_twisted: bool = False,
     ):
         if kind not in self.FIELDS:
             raise ValueError(f"unknown space kind {kind!r}")
@@ -230,7 +232,6 @@ class SpaceDescriptor(Value):
         self.factors = tuple(factors)
         self.conjecture = bool(conjecture)
         self.possibly_singular = bool(possibly_singular)
-        self.right_twisted = bool(right_twisted)
 
     # ---- constructors -------------------------------------------------
 
@@ -247,10 +248,10 @@ class SpaceDescriptor(Value):
         left_group: GroupDescriptor | None = None,
         right_group: GroupDescriptor = _TRIVIAL,
     ) -> "SpaceDescriptor":
+        torus = GroupDescriptor.torus(rank)  # checks the rank, with or without a left group
+        left = left_group if left_group is not None else torus
         if rank == 0:
-            left = left_group if left_group is not None else _TRIVIAL
             return cls.point(left, right_group=right_group)
-        left = left_group if left_group is not None else GroupDescriptor.torus(rank)
         return cls(
             "torus_cotangent", 2 * rank, left_group=left, right_group=right_group, size=rank
         )
@@ -291,10 +292,10 @@ class SpaceDescriptor(Value):
         lam = partition if isinstance(partition, Partition) else Partition(partition)
         if lam.n != group.size:
             raise ValueError(f"slice type {lam} is not a partition of {group.size}")
-        if right_group.is_trivial and lam == Partition((1,) * group.size):
-            # The slice through the zero nilpotent is all of gl_n.
-            return cls.cotangent_of_group(group, left_group=left_group)
         left = left_group if left_group is not None else group
+        if (left.is_trivial or right_group.is_trivial) and lam == Partition((1,) * group.size):
+            # The slice through the zero nilpotent is all of gl_n.
+            return cls.cotangent_of_group(group, left_group=left, right_group=right_group)
         return cls(
             "group_times_slice",
             group.dim + centralizer_dim(lam),
@@ -340,7 +341,7 @@ class SpaceDescriptor(Value):
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
     ) -> "SpaceDescriptor":
-        if index < 1:
+        if strict_int(index, "type A index") < 1:
             raise ValueError("type A index must be at least 1")
         return cls(
             "type_A_singularity", 2, left_group=left_group, right_group=right_group, index=index
@@ -416,7 +417,6 @@ class SpaceDescriptor(Value):
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
         possibly_singular: bool = False,
-        right_twisted: bool = False,
     ) -> "SpaceDescriptor":
         return cls(
             "reduced",
@@ -424,7 +424,6 @@ class SpaceDescriptor(Value):
             left_group=left_group,
             right_group=right_group,
             possibly_singular=possibly_singular,
-            right_twisted=right_twisted,
         )
 
     @classmethod
@@ -583,10 +582,7 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
 
     The output dimension is dim m12 + dim m23 - 2 dim g2, an expected
     dimension only, since the middle action need not be free; the result is
-    flagged possibly singular. The middle action on m12 is understood through
-    the involution swapping inverse conjugacy classes; that twist affects
-    identifications only, never dimensions, so it is carried as the
-    ``right_twisted`` flag of the surviving right action.
+    flagged possibly singular.
     """
     if not (m12.right_group == g2 == m23.left_group):
         raise GroupMismatchError(
@@ -602,7 +598,6 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
         left_group=m12.left_group,
         right_group=m23.right_group,
         possibly_singular=True,
-        right_twisted=m23.right_twisted,
     )
 
 
@@ -629,66 +624,58 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     """
     dual = _table_entry(m)
     if (dual.left_group, dual.right_group) != (m.left_group, m.right_group):
-        raise _lost_actions(m)
+        raise NoKnownDualError(
+            f"no dual of this {m.kind} keeps its acting groups {m.left_group} | {m.right_group}"
+        )
     return dual
-
-
-def _lost_actions(m: SpaceDescriptor) -> NoKnownDualError:
-    return NoKnownDualError(
-        f"no dual of this {m.kind} keeps its acting groups {m.left_group} | {m.right_group}"
-    )
 
 
 def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
     """The dual-pair table entry of m's kind, which sdual_pair checks."""
-    if m.kind == "cotangent_of_rep" and m.theory is not None:
+    if m.kind == "cotangent_of_rep":
+        if m.theory is None:
+            return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
         from .abelian_coulomb import sdual_torus
 
         return sdual_torus(m.theory)
 
-    if m.kind == "point":
-        # A point under G from one side: G times its principal slice, on that side.
-        if not (m.left_group.is_trivial or m.right_group.is_trivial):
-            raise _lost_actions(m)
-        carrier = m.right_group if m.left_group.is_trivial else m.left_group
-        sides = {"left_group": m.left_group, "right_group": m.right_group}
-        if carrier.is_trivial:
-            return SpaceDescriptor.point(**sides)
-        if carrier.kind == "torus":
-            return SpaceDescriptor.torus_cotangent(carrier.size, **sides)
-        if carrier.kind == "gl":
-            return SpaceDescriptor.group_times_slice(carrier, Partition((carrier.size,)), **sides)
-        raise NoKnownDualError(f"no dual rule for a point under {carrier}")
-
-    if m.kind == "torus_cotangent":
-        return SpaceDescriptor.point(GroupDescriptor.torus(m.size))
-
-    if m.kind == "cotangent_of_group":
-        n = m.group.size
-        return SpaceDescriptor.orbit_closure(n, Partition((n,)))
-
-    if m.kind == "group_times_slice":
-        if m.right_group.is_trivial:
-            return SpaceDescriptor.orbit_closure(m.group.size, transpose(m.partition))
+    left, right = m.left_group, m.right_group
+    if m.kind == "product" or (
+        m.kind == "group_times_slice" and not (left.is_trivial or right.is_trivial)
+    ):
+        # A brane block, acted on from both sides.
         pair = _is_m_cross(m)
         if pair is not None:
             return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
+        if m.kind == "product":
+            raise NoKnownDualError("product descriptor is not a recognized building block")
         raise NoKnownDualError("two-sided slice block not of hook shape")
 
+    # Every other space is one-sided, acted on from the left unless only the
+    # right acts; its dual is built under the same carrier, on the same side.
+    on_right = left.is_trivial and not right.is_trivial
+    if m.kind == "point":
+        carrier = right if on_right else left
+    elif m.kind == "torus_cotangent":
+        carrier = GroupDescriptor.torus(m.size)
+    else:
+        carrier = m.group
+    side = {"left_group": _TRIVIAL, "right_group": _TRIVIAL}
+    side["right_group" if on_right else "left_group"] = carrier
+
+    if m.kind == "point":
+        if carrier.kind == "product":
+            raise NoKnownDualError(f"no dual rule for a point under {carrier}")
+        # G times its principal slice, which for a torus is T*(C^x)^r.
+        return SpaceDescriptor.group_times_slice(carrier, Partition((carrier.size,)), **side)
+    if m.kind == "torus_cotangent":
+        return SpaceDescriptor.point(**side)
+    if m.kind == "cotangent_of_group":
+        return SpaceDescriptor.orbit_closure(carrier.size, (carrier.size,), **side)
+    if m.kind == "group_times_slice":
+        return SpaceDescriptor.orbit_closure(carrier.size, transpose(m.partition), **side)
     if m.kind == "orbit_closure":
-        return SpaceDescriptor.group_times_slice(
-            GroupDescriptor.gl(m.size), transpose(m.partition)
-        )
-
-    if m.kind == "cotangent_of_rep":
-        return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
-
-    if m.kind == "product":
-        pair = _is_m_cross(m)
-        if pair is not None:
-            return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
-        raise NoKnownDualError("product descriptor is not a recognized building block")
-
+        return SpaceDescriptor.group_times_slice(carrier, transpose(m.partition), **side)
     raise NoKnownDualError(f"kind {m.kind!r} has no dual-pair entry")
 
 

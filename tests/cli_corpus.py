@@ -209,6 +209,19 @@ DESCRIPTORS = [
     [],
 ]
 
+# Spaces acted on from the right only, each with its dual on the right, and a
+# document stating the retired right_twisted flag. They follow every other case.
+ONE = {"kind": "torus", "rank": 0}
+RIGHT_SIDED = [
+    {"kind": "torus_cotangent", "rank": 2, "left_group": ONE, "right_group": T2},
+    {"kind": "orbit_closure", "n": 3, "partition": [2, 1], "left_group": ONE, "right_group": GL3},
+    {"kind": "cotangent_of_group", "group": GL3, "left_group": ONE, "right_group": GL3},
+    {"kind": "group_times_slice", "group": GL3, "partition": [2, 1], "left_group": ONE, "right_group": GL3},
+    # m_cross(0, 3)
+    {"kind": "group_times_slice", "group": GL3, "partition": [3], "left_group": ONE, "right_group": GL3},
+    {"kind": "reduced", "dim": 4, "right_twisted": True},
+]
+
 DIAGRAMS = [
     "0 o 1 x 1 x 1 o 0",
     "0 x 1 o 1 o 1 x 0",
@@ -400,6 +413,8 @@ def cases() -> list[tuple]:
         out.append((["verify", "--filter", "sdual-compose", "--json"], None, {SEED_VAR: seed}))
     out.append((["verify", "--filter", "sdual-compose", "--seed", "8", "--json"], None, {SEED_VAR: "x"}))
     out += [(argv, stdin, None) for argv, stdin in _bound_cases()]
+    for descriptor in RIGHT_SIDED:
+        out += [(argv, stdin, None) for argv, stdin in _both(["dual", "-"], _doc(descriptor))]
     return out
 
 

@@ -54,6 +54,9 @@ class TestDescriptorConstruction:
         assert SpaceDescriptor.m_circle(2, 3).dim == 12
         with pytest.raises(ValueError):
             SpaceDescriptor.orbit_closure(3, [2, 2])
+        # A negative rank would give a negative dimension, with or without a left group.
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpaceDescriptor.torus_cotangent(-2, left_group=GroupDescriptor.torus(2))
 
     def test_the_trivial_group_carries_the_point(self):
         gl0 = GroupDescriptor.gl(0)
@@ -64,6 +67,12 @@ class TestDescriptorConstruction:
         d = SpaceDescriptor.group_times_slice(GroupDescriptor.gl(3), [1, 1, 1])
         assert d.kind == "cotangent_of_group"
         assert d.dim == 18
+        one = GroupDescriptor.trivial()
+        for n in range(1, 5):
+            g = GroupDescriptor.gl(n)
+            for left, right in ((g, one), (one, g)):
+                d = SpaceDescriptor.group_times_slice(g, [1] * n, left, right)
+                assert d == SpaceDescriptor.cotangent_of_group(g, left, right)
 
     def test_zero_orbit_is_point(self):
         d = SpaceDescriptor.orbit_closure(3, [1, 1, 1])
@@ -112,12 +121,7 @@ class TestDescriptorConstruction:
                 SpaceDescriptor.m_cross(2, 2),
                 SpaceDescriptor.coulomb_branch(theory),
                 SpaceDescriptor(
-                    "reduced",
-                    6,
-                    GroupDescriptor.gl(1),
-                    GroupDescriptor.gl(2),
-                    possibly_singular=True,
-                    right_twisted=True,
+                    "reduced", 6, GroupDescriptor.gl(1), GroupDescriptor.gl(2), possibly_singular=True
                 ),
             ]
             assert {d.kind for d in samples} == set(SpaceDescriptor.KINDS)
@@ -286,12 +290,30 @@ class TestDualPairTable:
             dual = sdual_pair(m)
             assert (dual.left_group, dual.right_group) == (m.left_group, m.right_group)
 
-    def test_a_point_acted_on_from_one_side_keeps_that_side(self):
-        for g in (GroupDescriptor.gl(3), GroupDescriptor.torus(2)):
-            for left, right in ((g, GroupDescriptor.trivial()), (GroupDescriptor.trivial(), g)):
-                dual = sdual_pair(SpaceDescriptor.point(left, right_group=right))
-                assert (dual.left_group, dual.right_group) == (left, right)
-                assert dual.dim == g.dim + g.rank
+    def test_a_space_acted_on_from_one_side_dualizes_on_that_side_and_back(self):
+        one = GroupDescriptor.trivial()
+        tori = [GroupDescriptor.torus(r) for r in range(1, 4)]
+        for g in tori + [GroupDescriptor.gl(n) for n in range(1, 5)]:
+            for left, right in ((g, one), (one, g)):
+                spaces = [SpaceDescriptor.point(left, right)]
+                if g.kind == "torus":
+                    spaces.append(SpaceDescriptor.torus_cotangent(g.size, left, right))
+                else:
+                    spaces.append(SpaceDescriptor.cotangent_of_group(g, left, right))
+                    for lam in partitions_of(g.size):
+                        spaces.append(SpaceDescriptor.group_times_slice(g, lam, left, right))
+                        spaces.append(SpaceDescriptor.orbit_closure(g.size, lam, left, right))
+                for m in spaces:
+                    dual = sdual_pair(m)
+                    assert (dual.left_group, dual.right_group) == (left, right), m
+                    assert sdual_pair(dual) == m
+                assert sdual_pair(spaces[0]).dim == g.dim + g.rank
+
+    def test_the_one_sided_blocks_dualize_alike_on_either_side(self):
+        for n in range(1, 5):
+            blocks = (SpaceDescriptor.m_cross(0, n), SpaceDescriptor.m_cross(n, 0))
+            on_right, on_left = [(d.kind, d.dim, d.conjecture) for d in map(sdual_pair, blocks)]
+            assert on_right == on_left
 
 
 class TestKostant:

@@ -160,6 +160,10 @@ NOT_INTS = {
     "LinkingData": lambda bad: LinkingData([bad], []),
     "GroupDescriptor": lambda bad: GroupDescriptor.gl(bad),
     "SpaceDescriptor.rep_dims": lambda bad: SpaceDescriptor.cotangent_of_rep(dims=(bad, 2)),
+    "SpaceDescriptor.torus_cotangent": lambda bad: SpaceDescriptor.torus_cotangent(
+        bad, left_group=GroupDescriptor.torus(1)
+    ),
+    "SpaceDescriptor.type_a_singularity": lambda bad: SpaceDescriptor.type_a_singularity(bad),
 }
 
 
@@ -168,3 +172,9 @@ NOT_INTS = {
 def test_constructors_take_only_ints(build, bad):
     with pytest.raises(ValueError, match="integer"):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [False, 0.0], ids=["false", "zero-float"])
+def test_a_falsy_non_int_is_not_the_trivial_group(bad):
+    with pytest.raises(ValueError, match="integer"):
+        GroupDescriptor.gl(bad)
