@@ -38,7 +38,6 @@ from .exactalg import (
     integer_rank,
 )
 from .partitions import (
-    InconsistentChainError,
     Partition,
     centralizer_dim,
     chain_to_orbit,

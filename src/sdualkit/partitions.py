@@ -7,10 +7,6 @@ from typing import Iterable, Iterator, Sequence
 from .exactalg import Value, integer_rank, strict_int_tuple, text_ints
 
 
-class InconsistentChainError(ValueError):
-    """No Jordan type is compatible with the requested dimension chain."""
-
-
 class Partition(Value):
     """Weakly decreasing tuple of positive integers; canonical on construction."""
 
@@ -39,12 +35,6 @@ class Partition(Value):
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -125,9 +115,13 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
 
     For a chain v_0 = 0 <= ... <= v_n, the composite endomorphism x of C^{v_n}
     satisfies rank(x^k) <= v_{n-k}. The generic composite attains the
-    dominance-maximal Jordan type compatible with these bounds; when the
-    reversed consecutive differences already form a partition, its transpose
-    is that type and is used as a fast path.
+    dominance-maximal Jordan type compatible with these bounds. One exists:
+    1^n is always feasible, and the feasible rank profiles (convex,
+    nonincreasing, r_0 = v_n, under the bounds) are closed under the
+    pointwise maximum, so one feasible type dominates all the others, and
+    it has the largest orbit. When the reversed consecutive differences
+    already form a partition, its transpose is that type and is used as a
+    fast path.
     """
     dims = strict_int_tuple(dims, "chain dimension")
     if not dims:
@@ -148,12 +142,7 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
         for p in partitions_of(target)
         if all(rank_profile(p, k) <= dims[steps - k] for k in range(1, steps + 1))
     ]
-    if not feasible:
-        raise InconsistentChainError(f"no Jordan type fits the chain {list(dims)}")
-    maximal = [p for p in feasible if all(q == p or dominates(p, q) for q in feasible)]
-    if len(maximal) != 1:
-        raise InconsistentChainError(f"chain {list(dims)} has no dominance-maximal Jordan type")
-    return maximal[0]
+    return max(feasible, key=orbit_dim)
 
 
 def _jordan_matrix(lam: Partition) -> list[list[int]]:

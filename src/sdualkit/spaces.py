@@ -5,9 +5,12 @@ partition data), never as actual varieties. The module provides symplectic-
 reduction bookkeeping, the built-in table of S-dual pairs, the Kostant
 reduction dimension identity, and the hyperspherical dimension heuristic.
 
-The table is side-symmetric: a space acted on from one side has its dual
-acted on from that side, and dualizes back. Only the brane building blocks,
-a product or a slice block with both sides non-trivial, are two-sided.
+The table is written for the left side. A space acted on from the right only
+is dualized as the mirror of its left-sided image, so a one-sided space has
+its dual on its own side; a one-sided point, torus cotangent, T*G, G x Slice
+or orbit closure dualizes back to exactly itself. Only the brane building
+blocks, a product or a slice block with both sides non-trivial, are
+two-sided.
 """
 
 from __future__ import annotations
@@ -456,10 +459,6 @@ class SpaceDescriptor(Value):
     def _payload(self) -> tuple:
         return tuple(getattr(self, attr) for attr, _ in self.FIELDS[self.kind][1])
 
-    def same_shape(self, other: "SpaceDescriptor") -> bool:
-        """Kind-and-dimension agreement, the comparison used for double duals."""
-        return self.kind == other.kind and self.dim == other.dim
-
     # ---- rendering -----------------------------------------------------
 
     def _base_text(self) -> str:
@@ -630,52 +629,51 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     return dual
 
 
+def _mirror(m: SpaceDescriptor) -> SpaceDescriptor:
+    """``m`` with its two acting groups swapped."""
+    fields = dict(zip(m.__slots__, m._slot_values(m)))
+    fields["left_group"], fields["right_group"] = m.right_group, m.left_group
+    return SpaceDescriptor(**fields)
+
+
 def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
-    """The dual-pair table entry of m's kind, which sdual_pair checks."""
+    """The dual-pair table entry of m's kind, which sdual_pair checks.
+
+    A space acted on from the right only is dualized as the mirror of its
+    left-sided image; every entry below is written for the left side, under
+    each constructor's default left group (its carrier), the right trivial.
+    """
+    if m.left_group.is_trivial and not m.right_group.is_trivial:
+        return _mirror(_table_entry(_mirror(m)))
     if m.kind == "cotangent_of_rep":
         if m.theory is None:
             return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
         from .abelian_coulomb import sdual_torus
 
         return sdual_torus(m.theory)
-
-    left, right = m.left_group, m.right_group
-    if m.kind == "product" or (
-        m.kind == "group_times_slice" and not (left.is_trivial or right.is_trivial)
-    ):
-        # A brane block, acted on from both sides.
+    if m.kind == "product" or (m.kind == "group_times_slice" and not m.right_group.is_trivial):
+        # A brane block, acted on from both sides (a right action here has a
+        # left one beside it).
         pair = _is_m_cross(m)
         if pair is not None:
             return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
         if m.kind == "product":
             raise NoKnownDualError("product descriptor is not a recognized building block")
         raise NoKnownDualError("two-sided slice block not of hook shape")
-
-    # Every other space is one-sided, acted on from the left unless only the
-    # right acts; its dual is built under the same carrier, on the same side.
-    on_right = left.is_trivial and not right.is_trivial
     if m.kind == "point":
-        carrier = right if on_right else left
-    elif m.kind == "torus_cotangent":
-        carrier = GroupDescriptor.torus(m.size)
-    else:
-        carrier = m.group
-    side = {"left_group": _TRIVIAL, "right_group": _TRIVIAL}
-    side["right_group" if on_right else "left_group"] = carrier
-
-    if m.kind == "point":
-        if carrier.kind == "product":
-            raise NoKnownDualError(f"no dual rule for a point under {carrier}")
+        g = m.left_group
+        if g.kind == "product":
+            raise NoKnownDualError(f"no dual rule for a point under {g}")
         # G times its principal slice, which for a torus is T*(C^x)^r.
-        return SpaceDescriptor.group_times_slice(carrier, Partition((carrier.size,)), **side)
+        return SpaceDescriptor.group_times_slice(g, Partition((g.size,)))
     if m.kind == "torus_cotangent":
-        return SpaceDescriptor.point(**side)
+        return SpaceDescriptor.point(GroupDescriptor.torus(m.size))
     if m.kind == "cotangent_of_group":
-        return SpaceDescriptor.orbit_closure(carrier.size, (carrier.size,), **side)
+        return SpaceDescriptor.orbit_closure(m.group.size, (m.group.size,))
     if m.kind == "group_times_slice":
-        return SpaceDescriptor.orbit_closure(carrier.size, transpose(m.partition), **side)
+        return SpaceDescriptor.orbit_closure(m.group.size, transpose(m.partition))
     if m.kind == "orbit_closure":
-        return SpaceDescriptor.group_times_slice(carrier, transpose(m.partition), **side)
+        return SpaceDescriptor.group_times_slice(m.group, transpose(m.partition))
     raise NoKnownDualError(f"kind {m.kind!r} has no dual-pair entry")
 
 

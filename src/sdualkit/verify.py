@@ -225,8 +225,8 @@ def check_sdual_slice_orbit_table(rng: random.Random) -> tuple[bool, str]:
             if dual != expected:
                 return False, f"dual of GL({n}) x Slice{lam} is {dual}, want {expected}"
             back = spaces.sdual_pair(dual)
-            if not back.same_shape(m):
-                return False, f"double dual of Slice{lam} changed shape: {back} vs {m}"
+            if back != m:
+                return False, f"double dual of Slice{lam} is {back!r}, not {m!r}"
             cases += 1
     return True, f"{cases} slice/orbit pairs verified with double duals, n <= 7"
 

@@ -222,6 +222,26 @@ RIGHT_SIDED = [
     {"kind": "reduced", "dim": 4, "right_twisted": True},
 ]
 
+# Torus theories acted on from the right only, each dualized on the right, and
+# one acted on from both sides, which has no dual. They follow RIGHT_SIDED.
+RIGHT_SIDED_THEORIES = [
+    {
+        "kind": "cotangent_of_rep",
+        "theory": theory,
+        "left_group": ONE,
+        "right_group": {"kind": "torus", "rank": theory["rank"]},
+    }
+    for theory in (
+        THEORY,
+        {"rank": 1, "linear_weights": [[1]]},
+        {"rank": 1, "linear_weights": [[2], [-1], [0]]},
+        {"rank": 1, "multiplicative_weights": [[2]]},
+        {"rank": 2, "linear_weights": []},
+        {"rank": 2, "linear_weights": [[1, 0], [2, 1]]},
+        {"rank": 2, "linear_weights": [[1, 0], [0, 1]], "multiplicative_weights": [[1, -1]]},
+    )
+] + [{"kind": "cotangent_of_rep", "theory": THEORY, "left_group": T1, "right_group": T1}]
+
 DIAGRAMS = [
     "0 o 1 x 1 x 1 o 0",
     "0 x 1 o 1 o 1 x 0",
@@ -413,7 +433,7 @@ def cases() -> list[tuple]:
         out.append((["verify", "--filter", "sdual-compose", "--json"], None, {SEED_VAR: seed}))
     out.append((["verify", "--filter", "sdual-compose", "--seed", "8", "--json"], None, {SEED_VAR: "x"}))
     out += [(argv, stdin, None) for argv, stdin in _bound_cases()]
-    for descriptor in RIGHT_SIDED:
+    for descriptor in RIGHT_SIDED + RIGHT_SIDED_THEORIES:
         out += [(argv, stdin, None) for argv, stdin in _both(["dual", "-"], _doc(descriptor))]
     return out
 

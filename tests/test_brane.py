@@ -111,6 +111,12 @@ class TestQuiverToDiagram:
         assert d.branes == ("o", "o", "x", "x", "x", "o")
         assert d.dims == (0, 1, 2, 2, 2, 2, 0)
 
+    def test_malformed_quivers(self):
+        with pytest.raises(ValueError, match="same length"):
+            QuiverData([1, 2], [0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuiverData([1, -1], [0, 0])
+
     def test_gauge_ranks_recovered_from_jumps(self):
         rng = random.Random(2)
         for _ in range(100):

@@ -296,6 +296,8 @@ class TestElementAlgebra:
         t1, t2 = TorusTheory(1, [[1]]), TorusTheory(1, [[2]])
         with pytest.raises(ValueError):
             multiply(t1, t1.monomial((0,)), t2.monomial((0,)))
+        with pytest.raises(ValueError, match="different theories"):
+            t1.monomial((0,)) + t2.monomial((0,))
 
     def test_scalar_multiplication(self):
         t = TorusTheory(1, [])
@@ -334,3 +336,8 @@ class TestElementAlgebra:
         assert str(t.zero()) == "0"
         assert str(t.monomial((0,))) == "r[0]"
         assert str(t.monomial((1,), Polynomial(1, {(2,): 4}))) == "4*w^2*r[1]"
+        assert str(t.monomial((1,), Polynomial(1, {(1,): 1, (0,): 2}))) == "(w + 2)*r[1]"
+
+    def test_describe_lists_both_kinds_of_weight(self):
+        t = TorusTheory(2, [[1, 0]], [[1, -1]])
+        assert t.describe() == "rank 2, linear [1, 0], mult [1, -1]"

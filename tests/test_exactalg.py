@@ -133,6 +133,16 @@ class TestIntegerKernel:
 
 
 class TestPolynomial:
+    def test_malformed_input(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Polynomial(-1)
+        with pytest.raises(RankMismatchError, match="wrong length"):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(1, {(-1,): 1})
+        with pytest.raises(RankMismatchError):
+            LinearForm([1, 2]).pairing((1,))
+
     def test_no_zero_coefficients_stored(self):
         p = Polynomial(1, {(0,): 1}) - Polynomial(1, {(0,): 1})
         assert p.terms == {}
@@ -215,6 +225,10 @@ class TestEvalProduct:
 
     def test_weight_power(self):
         assert eval_product([(LinearForm([1]), 3)], rank=1) == Polynomial(1, {(3,): 1})
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            eval_product([(LinearForm([1]), -1)], rank=1)
 
     def test_scaled_weight(self):
         assert eval_product([(LinearForm([2]), 2)], rank=1) == Polynomial(1, {(2,): 4})

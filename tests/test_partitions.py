@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -88,6 +89,8 @@ class TestTranspose:
             for lam in parts:
                 for mu in parts:
                     assert dominates(lam, mu) == dominates(transpose(mu), transpose(lam))
+        with pytest.raises(ValueError, match="same integer"):
+            dominates(Partition([2]), Partition([1]))
 
 
 class TestDimensions:
@@ -136,6 +139,12 @@ class TestRankProfile:
         assert numeric_jordan_oracle(Partition([3, 1])) == {0: 4, 1: 2, 2: 1, 3: 0}
         assert numeric_jordan_oracle(Partition([2, 2])) == {0: 4, 1: 2, 2: 0}
 
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rank_profile(Partition([2]), -1)
+        with pytest.raises(ValueError, match="size 64"):
+            numeric_jordan_oracle(Partition([65]))
+
 
 class TestHook:
     def test_examples(self):
@@ -144,6 +153,8 @@ class TestHook:
         assert hook(1, 3) == Partition([1, 1, 1, 1])
         with pytest.raises(ValueError):
             hook(0, 1)
+        with pytest.raises(ValueError, match="leg"):
+            hook(1, -1)
 
 
 class TestChainToOrbit:
@@ -182,6 +193,20 @@ class TestChainToOrbit:
             ]
             assert result in feasible
             assert all(dominates(result, q) for q in feasible)
+
+    def test_every_small_chain_has_a_dominant_feasible_type(self):
+        # Exhaustive over chains of at most 4 steps into C^n, n <= 6.
+        for steps in range(1, 5):
+            for increments in itertools.product(range(7), repeat=steps):
+                dims = list(itertools.accumulate(increments, initial=0))
+                if dims[-1] > 6:
+                    continue
+                feasible = [
+                    p
+                    for p in partitions_of(dims[-1])
+                    if all(rank_profile(p, k) <= dims[steps - k] for k in range(1, steps + 1))
+                ]
+                assert all(dominates(chain_to_orbit(dims), q) for q in feasible), dims
 
     def test_non_monotone_differences_use_brute_force(self):
         # reversed differences (0, 2) are not weakly decreasing

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -34,6 +35,9 @@ class TestGroupDescriptor:
         assert GroupDescriptor.gl(0) == GroupDescriptor.torus(0) == GroupDescriptor.trivial()
         assert GroupDescriptor.product([]) == GroupDescriptor.trivial()
         assert GroupDescriptor.product([GroupDescriptor.gl(2)]) == GroupDescriptor.gl(2)
+        gl1, gl2, t1 = GroupDescriptor.gl(1), GroupDescriptor.gl(2), GroupDescriptor.torus(1)
+        nested = GroupDescriptor.product([GroupDescriptor.product([gl1, gl2]), t1])
+        assert nested.factors == (gl1, gl2, t1)
 
     def test_json_round_trip(self):
         for g in (
@@ -57,6 +61,13 @@ class TestDescriptorConstruction:
         # A negative rank would give a negative dimension, with or without a left group.
         with pytest.raises(ValueError, match="nonnegative"):
             SpaceDescriptor.torus_cotangent(-2, left_group=GroupDescriptor.torus(2))
+
+    def test_unsupported_groups_and_kinds(self):
+        gl2 = GroupDescriptor.gl(2)
+        with pytest.raises(ValueError, match="supports torus and gl groups"):
+            SpaceDescriptor.group_times_slice(GroupDescriptor.product([gl2, gl2]), [2, 2])
+        with pytest.raises(ValueError, match="unknown space kind 'sphere'"):
+            SpaceDescriptor("sphere", 0)
 
     def test_the_trivial_group_carries_the_point(self):
         gl0 = GroupDescriptor.gl(0)
@@ -200,6 +211,7 @@ class TestCompose:
     def test_not_free_marked_possibly_singular(self):
         out = compose(SpaceDescriptor.m_circle(0, 2), SpaceDescriptor.m_circle(2, 2), GroupDescriptor.gl(2))
         assert out.possibly_singular
+        assert str(out) == "Reduced(1 | GL(2))  (dim 0) [possibly singular]"
 
 
 class TestDualPairTable:
@@ -226,29 +238,30 @@ class TestDualPairTable:
                 m = SpaceDescriptor.group_times_slice(g, lam)
                 dual = sdual_pair(m)
                 assert dual == SpaceDescriptor.orbit_closure(n, transpose(lam))
-                back = sdual_pair(dual)
-                assert back.same_shape(m)
+                assert sdual_pair(dual) == m
 
     def test_torus_pair_involution(self):
         m = SpaceDescriptor.point(GroupDescriptor.torus(2))
         dual = sdual_pair(m)
         assert dual.kind == "torus_cotangent" and dual.dim == 4
-        assert sdual_pair(dual).same_shape(m)
+        assert sdual_pair(dual) == m
 
     def test_building_block_exchange_is_conjectural(self):
-        dual = sdual_pair(SpaceDescriptor.m_circle(1, 2))
-        assert dual.conjecture
-        assert dual.same_shape(SpaceDescriptor.m_cross(1, 2))
+        circle, cross = SpaceDescriptor.m_circle(1, 2), SpaceDescriptor.m_cross(1, 2)
+        dual = sdual_pair(circle)
+        assert (dual.kind, dual.dim, dual.conjecture) == (cross.kind, cross.dim, True)
         back = sdual_pair(dual)
-        assert back.same_shape(SpaceDescriptor.m_circle(1, 2))
+        assert (back.kind, back.dim, back.conjecture) == (circle.kind, circle.dim, True)
 
     def test_block_exchange_all_small_ranks(self):
+        # A block with a zero rank is one-sided, and its exchange is exact.
         for vi in range(4):
             for vj in range(4):
                 circle = SpaceDescriptor.m_circle(vi, vj)
                 cross = SpaceDescriptor.m_cross(vi, vj)
-                assert sdual_pair(circle).same_shape(cross)
-                assert sdual_pair(cross).same_shape(circle)
+                for m, image in ((circle, cross), (cross, circle)):
+                    dual = sdual_pair(m)
+                    assert (dual.kind, dual.dim, dual.conjecture) == (image.kind, image.dim, vi * vj > 0)
 
     def test_torus_theory_routes_to_engine(self):
         m = SpaceDescriptor.cotangent_of_rep(theory=TorusTheory(1, [[1]] * 3))
@@ -270,6 +283,7 @@ class TestDualPairTable:
             SpaceDescriptor.torus_cotangent(2, right_group=gl2),
             SpaceDescriptor.point(gl2, right_group=gl3),
             SpaceDescriptor.cotangent_of_rep(theory=theory, right_group=gl2),
+            SpaceDescriptor.cotangent_of_rep(theory=theory, right_group=GroupDescriptor.torus(1)),
             SpaceDescriptor.cotangent_of_group(gl3, right_group=gl2),
             SpaceDescriptor.orbit_closure(3, [2, 1], right_group=gl2),
             # a left action other than the one the entry assumes
@@ -309,6 +323,29 @@ class TestDualPairTable:
                     assert sdual_pair(dual) == m
                 assert sdual_pair(spaces[0]).dim == g.dim + g.rank
 
+    def test_a_theory_on_the_right_dualizes_as_the_mirror_of_its_left_entry(self):
+        theories = [
+            TorusTheory(1, [[w] for w in weights])
+            for size in range(7)
+            for weights in itertools.combinations_with_replacement(range(-3, 4), size)
+        ]
+        theories += [TorusTheory(1, [], [[mult]]) for mult in range(1, 4)]
+        theories += [TorusTheory(2, [[1, 0], [2, 1]]), TorusTheory(2, [[1, 0], [0, 1]], [[1, -1]])]
+        one = GroupDescriptor.trivial()
+        for theory in theories:
+            g = GroupDescriptor.torus(theory.rank)
+            on_left = SpaceDescriptor.cotangent_of_rep(theory=theory, left_group=g, right_group=one)
+            on_right = SpaceDescriptor.cotangent_of_rep(theory=theory, left_group=one, right_group=g)
+            doc = sdual_pair(on_left).to_json()
+            doc["left_group"], doc["right_group"] = doc["right_group"], doc["left_group"]
+            assert sdual_pair(on_right) == SpaceDescriptor.from_json(doc), theory
+
+    def test_a_two_sided_slice_block_needs_gl_sides(self):
+        gl2 = GroupDescriptor.gl(2)
+        m = SpaceDescriptor.group_times_slice(gl2, [2], GroupDescriptor.torus(1), gl2)
+        with pytest.raises(NoKnownDualError, match="two-sided slice block not of hook shape"):
+            sdual_pair(m)
+
     def test_the_one_sided_blocks_dualize_alike_on_either_side(self):
         for n in range(1, 5):
             blocks = (SpaceDescriptor.m_cross(0, n), SpaceDescriptor.m_cross(n, 0))
@@ -347,6 +384,9 @@ class TestKostant:
         g = GroupDescriptor.gl(2)
         with pytest.raises(UnknownCoulombDimensionError):
             coulomb_dim(SpaceDescriptor.orbit_closure(2, [2]), g)
+        m = SpaceDescriptor.cotangent_of_rep(theory=TorusTheory(1, [[1]]))
+        with pytest.raises(UnknownCoulombDimensionError, match="theory rank does not match T\\(2\\)"):
+            coulomb_dim(m, GroupDescriptor.torus(2))
 
 
 class TestHypersphericalDeficit:
