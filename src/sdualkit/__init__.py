@@ -4,7 +4,6 @@ Hamiltonian spaces."""
 
 from .abelian_coulomb import (
     CoulombElement,
-    RankTooHighError,
     RingPresentation,
     TorusTheory,
     multiply,
@@ -18,9 +17,7 @@ from .abelian_coulomb import (
 from .brane import (
     BraneDiagram,
     LinkingData,
-    NonAdmissibleMoveError,
     QuiverData,
-    UnsupportedDiagramError,
     admissible_moves,
     concat,
     expected_space,
@@ -32,7 +29,6 @@ from .brane import (
 from .exactalg import (
     LinearForm,
     Polynomial,
-    RankMismatchError,
     eval_product,
     integer_kernel,
     integer_rank,
@@ -51,11 +47,8 @@ from .partitions import (
 )
 from .spaces import (
     GroupDescriptor,
-    GroupMismatchError,
     KostantCheck,
-    NoKnownDualError,
     SpaceDescriptor,
-    UnknownCoulombDimensionError,
     compose,
     coulomb_dim,
     hyperspherical_deficit,

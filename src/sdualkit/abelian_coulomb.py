@@ -38,7 +38,6 @@ from . import spaces
 from .exactalg import (
     LinearForm,
     Polynomial,
-    RankMismatchError,
     UnsupportedInputError,
     Value,
     eval_product,
@@ -50,17 +49,13 @@ from .exactalg import (
 )
 
 
-class RankTooHighError(UnsupportedInputError):
-    """A rank-one presentation was requested for an effective rank above one."""
-
-
 Cochar = tuple[int, ...]
 
 
 def _as_form(weight, rank: int) -> LinearForm:
     form = weight if isinstance(weight, LinearForm) else LinearForm(weight)
     if form.rank != rank:
-        raise RankMismatchError(f"weight {list(form.coeffs)} has rank {form.rank}, expected {rank}")
+        raise ValueError(f"weight {list(form.coeffs)} has rank {form.rank}, expected {rank}")
     return form
 
 
@@ -109,7 +104,7 @@ class TorusTheory(Value):
     def _check_cochar(self, lam: Sequence[int]) -> Cochar:
         lam = strict_int_tuple(lam, "cocharacter entry")
         if len(lam) != self.rank:
-            raise RankMismatchError(f"cocharacter {lam} has length {len(lam)}, expected {self.rank}")
+            raise ValueError(f"cocharacter {lam} has length {len(lam)}, expected {self.rank}")
         return lam
 
     def annihilates_multiplicative(self, lam: Sequence[int]) -> bool:
@@ -152,7 +147,7 @@ class CoulombElement(Value):
             elif not isinstance(coeff, Polynomial):
                 raise ValueError(f"coefficient must be an integer or a Polynomial, got {coeff!r}")
             if coeff.rank != theory.rank:
-                raise RankMismatchError("coefficient rank does not match the theory")
+                raise ValueError("coefficient rank does not match the theory")
             if coeff.is_zero() or not theory._annihilates(lam):
                 continue
             clean[lam] = coeff
@@ -371,8 +366,9 @@ def present_rank1(theory: TorusTheory) -> RingPresentation:
     """
     reduced, _ = reduce_multiplicative(theory)
     if reduced.rank > 1:
-        raise RankTooHighError(
-            f"effective rank {reduced.rank}: only rank-one presentations are supported"
+        raise UnsupportedInputError(
+            f"effective rank {reduced.rank}: only rank-one presentations are supported;"
+            " use --table for the structure-constant table"
         )
     space = _coulomb_space(reduced, theory.rank)
     if reduced.rank == 0:
@@ -384,7 +380,8 @@ def present_rank1(theory: TorusTheory) -> RingPresentation:
 
 def cochar_box(rank: int, cutoff: int) -> list[Cochar]:
     """Every cocharacter with |lam|_inf <= cutoff, in lexicographic order."""
-    return list(itertools.product(range(-cutoff, cutoff + 1), repeat=rank))
+    cutoff = strict_int(cutoff, "cutoff")
+    return list(itertools.product(range(-cutoff, cutoff + 1), repeat=strict_int(rank, "rank")))
 
 
 def structure_constant_table(
@@ -395,7 +392,7 @@ def structure_constant_table(
     Only cocharacters annihilating the multiplicative weights appear; the
     listing is sorted for deterministic output.
     """
-    if cutoff < 0:
+    if strict_int(cutoff, "cutoff") < 0:
         raise ValueError("cutoff must be nonnegative")
     forms, rank = theory.linear_weights, theory.rank
     box = [

@@ -16,16 +16,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import UnsupportedInputError, Value, strict_int_tuple, text_ints
+from .exactalg import UnsupportedInputError, Value, strict_int, strict_int_tuple, text_ints
 from .partitions import chain_to_orbit
-
-
-class NonAdmissibleMoveError(UnsupportedInputError):
-    """The requested transition would create a negative segment dimension."""
-
-
-class UnsupportedDiagramError(UnsupportedInputError):
-    """The diagram is outside the families with a known space reading."""
 
 
 NS5 = "o"
@@ -146,14 +138,15 @@ def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
     affine update making the move an involution that preserves linking
     numbers.
     """
-    if not 0 <= i < len(d.branes) - 1:
+    if type(i) is not int or not 0 <= i < len(d.branes) - 1:
+        strict_int(i, "move index")  # a non-int index is malformed, not out of range
         raise IndexError(f"no adjacent pair at index {i}")
     if d.branes[i] == d.branes[i + 1]:
         raise ValueError(f"branes at {i}, {i + 1} have the same type; move undefined")
     d1, d2, d3 = d.dims[i], d.dims[i + 1], d.dims[i + 2]
     new_mid = d1 + d3 + 1 - d2
     if new_mid < 0:
-        raise NonAdmissibleMoveError(
+        raise UnsupportedInputError(
             f"transition at {i} would give segment dimension {new_mid}"
         )
     branes = d.branes[:i] + (d.branes[i + 1], d.branes[i]) + d.branes[i + 2 :]
@@ -213,9 +206,9 @@ def expected_space(d: BraneDiagram) -> spaces.SpaceDescriptor:
         return spaces.SpaceDescriptor.m_cross(vi, vj)
     if d.branes and all(b == NS5 for b in d.branes):
         if d.dims[0] != 0:
-            raise UnsupportedDiagramError("all-o chains must start at dimension 0")
+            raise UnsupportedInputError("all-o chains must start at dimension 0")
         lam = chain_to_orbit(d.dims)
         return spaces.SpaceDescriptor.orbit_closure(lam.n, lam)
-    raise UnsupportedDiagramError(
+    raise UnsupportedInputError(
         "only single building blocks and all-o chains have a space reading"
     )

@@ -2,7 +2,10 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 malformed input (a parse error, or a
 verify --filter that matches no check), 3 unsupported input, or a valid input
-above one of the bounds below.
+above one of the bounds below. The type of the error decides: an
+exactalg.UnsupportedInputError exits 3, as do a document nested too deep and a
+move index past the diagram; every other ValueError, and an unreadable file,
+exits 2.
 """
 
 from __future__ import annotations
@@ -14,14 +17,13 @@ import sys
 
 from . import brane, spaces
 from .abelian_coulomb import (
-    RankTooHighError,
     TorusTheory,
     cochar_box,
     present_rank1,
     reduce_multiplicative,
     structure_constant_table,
 )
-from .exactalg import MAX_DIGITS, TooLargeError, UnsupportedInputError, text_ints
+from .exactalg import MAX_DIGITS, UnsupportedInputError, text_ints
 from .partitions import (
     Partition,
     centralizer_dim,
@@ -57,7 +59,7 @@ BOUNDS = (
 
 def _bound(what: str, value: int, limit: int) -> None:
     if value > limit:
-        raise TooLargeError(f"{what} {value} is above the bound {limit}")
+        raise UnsupportedInputError(f"{what} {value} is above the bound {limit}")
 
 
 def _weight_size(weights) -> int:
@@ -195,11 +197,7 @@ def _cmd_coulomb(args) -> int:
         table = structure_constant_table(theory, cutoff=cutoff)
         return _emit(args, lambda: _table_json(table, theory.rank), lambda: _table_text(table))
     _check_theory(theory)
-    try:
-        presentation = present_rank1(theory)
-    except RankTooHighError as exc:
-        print(f"error: {exc}; use --table for the structure-constant table", file=sys.stderr)
-        return 3
+    presentation = present_rank1(theory)
     return _emit(args, presentation.to_json, presentation.__str__)
 
 
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
     except UNSUPPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,6 @@ from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 
-class RankMismatchError(ValueError):
-    """Operands built over different variable ranks were mixed."""
-
-
 def strict_int(value, what: str) -> int:
     """``value`` if it is a JSON integer; bool, float, null and the rest raise ValueError."""
     if type(value) is not int:
@@ -62,10 +58,6 @@ class UnsupportedInputError(ValueError):
     """A valid input that is unsupported or too large; the CLI exits 3 on it."""
 
 
-class TooLargeError(UnsupportedInputError):
-    """A valid input above one of the bounds on a command's work."""
-
-
 # Python's default limit on the digits of an integer converted from text.
 MAX_DIGITS = 4_300
 
@@ -75,7 +67,7 @@ def text_ints(tokens: Sequence[str], what: str) -> list[int]:
 
     Underscores, a plus sign, whitespace and non-ASCII digits, all of which
     ``int()`` accepts, raise ValueError; more than MAX_DIGITS digits raise
-    TooLargeError.
+    UnsupportedInputError.
     """
     for tok in tokens:
         if not (tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit())):
@@ -83,7 +75,7 @@ def text_ints(tokens: Sequence[str], what: str) -> list[int]:
         if len(tok) > MAX_DIGITS:
             digits = len(tok) - (tok[0] == "-")
             if digits > MAX_DIGITS:
-                raise TooLargeError(f"{what} has {digits} digits, above the bound {MAX_DIGITS}")
+                raise UnsupportedInputError(f"{what} has {digits} digits, above the bound {MAX_DIGITS}")
     return [int(tok) for tok in tokens]
 
 
@@ -142,7 +134,7 @@ class LinearForm(Value):
 
     def pairing(self, cochar: Sequence[int]) -> int:
         if len(cochar) != len(self.coeffs):
-            raise RankMismatchError(
+            raise ValueError(
                 f"form of rank {len(self.coeffs)} paired with vector of length {len(cochar)}"
             )
         return sum(c * x for c, x in zip(self.coeffs, cochar))
@@ -166,7 +158,7 @@ class Polynomial(Value):
             for exps, coeff in terms.items():
                 e = strict_int_tuple(exps, "exponent")
                 if len(e) != self.rank:
-                    raise RankMismatchError(f"exponent vector {e} has wrong length for rank {self.rank}")
+                    raise ValueError(f"exponent vector {e} has wrong length for rank {self.rank}")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
                 c = strict_int(coeff, "coefficient")
@@ -185,7 +177,7 @@ class Polynomial(Value):
 
     @classmethod
     def constant(cls, rank: int, value: int) -> "Polynomial":
-        if rank < 0:
+        if strict_int(rank, "rank") < 0:
             raise ValueError("rank must be nonnegative")
         value = strict_int(value, "constant")
         return cls._trusted(rank, {(0,) * rank: value} if value else {})
@@ -196,7 +188,7 @@ class Polynomial(Value):
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
             if other.rank != self.rank:
-                raise RankMismatchError(f"rank {other.rank} vs {self.rank}")
+                raise ValueError(f"rank {other.rank} vs {self.rank}")
             return other
         if isinstance(other, int):
             return Polynomial.constant(self.rank, other)
@@ -336,7 +328,7 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
     degree, bound = 0, 1
     for form, exponent in factors:
         if form.rank != rank:
-            raise RankMismatchError(f"form rank {form.rank} != {rank}")
+            raise ValueError(f"form rank {form.rank} != {rank}")
         if exponent < 0:
             raise ValueError("exponents must be nonnegative")
         degree += exponent

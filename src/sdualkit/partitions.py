@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .exactalg import Value, integer_rank, strict_int_tuple, text_ints
+from .exactalg import Value, integer_rank, strict_int, strict_int_tuple, text_ints
 
 
 class Partition(Value):
@@ -69,7 +69,8 @@ def orbit_dim(lam) -> int:
 
 def rank_profile(lam, k: int) -> int:
     """Rank of x^k for x nilpotent of Jordan type lam."""
-    if k < 0:
+    if type(k) is not int or k < 0:  # one type test on chain_to_orbit's slow path
+        strict_int(k, "power")
         raise ValueError("power must be nonnegative")
     return sum(max(p - k, 0) for p in _as_partition(lam).parts)
 
@@ -98,9 +99,7 @@ def dominates(lam, mu) -> bool:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first."""
-    if n < 0:
-        return
+    """All partitions of n, largest part first; none for a negative n."""
     if n == 0:
         yield Partition(())
         return

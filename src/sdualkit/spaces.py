@@ -28,18 +28,6 @@ from .exactalg import (
 from .partitions import Partition, centralizer_dim, hook, orbit_dim, transpose
 
 
-class GroupMismatchError(ValueError):
-    """Composition attempted over mismatched middle groups."""
-
-
-class NoKnownDualError(UnsupportedInputError):
-    """The descriptor, or one of its actions, has no entry in the dual-pair table."""
-
-
-class UnknownCoulombDimensionError(UnsupportedInputError):
-    """No rule gives the Coulomb-branch dimension of this matter space."""
-
-
 class GroupDescriptor(Value):
     """A reductive group at bookkeeping level: torus(r), gl(n), or a product.
 
@@ -49,22 +37,27 @@ class GroupDescriptor(Value):
 
     __slots__ = ("kind", "size", "factors")
 
+    # The one payload key of each kind's document, beside "kind".
+    JSON_KEYS = {"torus": "rank", "gl": "n", "product": "factors"}
+
     def __init__(self, kind: str, size: int = 0, factors: tuple = ()):
-        self.kind = kind
-        self.size = strict_int(size, "group size")
+        if kind not in self.JSON_KEYS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        if strict_int(size, "group size") < 0:
+            what = "torus rank" if kind == "torus" else f"{kind} size"
+            raise ValueError(f"{what} must be nonnegative")
+        # gl(0) is the trivial group, which is the torus of rank 0.
+        self.kind = "torus" if kind == "gl" and not size else kind
+        self.size = size
         self.factors = tuple(factors)
 
     @classmethod
     def torus(cls, r: int) -> "GroupDescriptor":
-        if strict_int(r, "group size") < 0:
-            raise ValueError("torus rank must be nonnegative")
         return cls("torus", r)
 
     @classmethod
     def gl(cls, n: int) -> "GroupDescriptor":
-        if strict_int(n, "group size") < 0:
-            raise ValueError("gl size must be nonnegative")
-        return cls("gl", n) if n else cls.trivial()
+        return cls("gl", n)
 
     @classmethod
     def trivial(cls) -> "GroupDescriptor":
@@ -117,9 +110,6 @@ class GroupDescriptor(Value):
         if self.kind == "torus":
             return {"kind": "torus", "rank": self.size}
         return {"kind": "gl", "n": self.size}
-
-    # The one payload key of each kind's document, beside "kind".
-    JSON_KEYS = {"torus": "rank", "gl": "n", "product": "factors"}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
@@ -584,7 +574,7 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
     flagged possibly singular.
     """
     if not (m12.right_group == g2 == m23.left_group):
-        raise GroupMismatchError(
+        raise ValueError(
             f"middle group {g2} does not match {m12.right_group} / {m23.left_group}"
         )
     if g2.is_trivial and m23.kind == "point" and m23.right_group.is_trivial:
@@ -617,13 +607,13 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
 
     The dual group of each acting group is identified with the group itself,
     so the dual is acted on by the same left and right groups as ``m``; an
-    entry whose dual does not keep them raises NoKnownDualError, as do kinds
+    entry whose dual does not keep them raises UnsupportedInputError, as do kinds
     outside the table. Entries derived from the slice/cotangent exchange
     conjecture carry ``conjecture=True``.
     """
     dual = _table_entry(m)
     if (dual.left_group, dual.right_group) != (m.left_group, m.right_group):
-        raise NoKnownDualError(
+        raise UnsupportedInputError(
             f"no dual of this {m.kind} keeps its acting groups {m.left_group} | {m.right_group}"
         )
     return dual
@@ -658,12 +648,12 @@ def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
         if pair is not None:
             return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
         if m.kind == "product":
-            raise NoKnownDualError("product descriptor is not a recognized building block")
-        raise NoKnownDualError("two-sided slice block not of hook shape")
+            raise UnsupportedInputError("product descriptor is not a recognized building block")
+        raise UnsupportedInputError("two-sided slice block not of hook shape")
     if m.kind == "point":
         g = m.left_group
         if g.kind == "product":
-            raise NoKnownDualError(f"no dual rule for a point under {g}")
+            raise UnsupportedInputError(f"no dual rule for a point under {g}")
         # G times its principal slice, which for a torus is T*(C^x)^r.
         return SpaceDescriptor.group_times_slice(g, Partition((g.size,)))
     if m.kind == "torus_cotangent":
@@ -674,7 +664,7 @@ def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
         return SpaceDescriptor.orbit_closure(m.group.size, transpose(m.partition))
     if m.kind == "orbit_closure":
         return SpaceDescriptor.group_times_slice(m.group, transpose(m.partition))
-    raise NoKnownDualError(f"kind {m.kind!r} has no dual-pair entry")
+    raise UnsupportedInputError(f"kind {m.kind!r} has no dual-pair entry")
 
 
 KostantCheck = namedtuple("KostantCheck", "lhs_dim rhs_dim passed")
@@ -694,12 +684,12 @@ def coulomb_dim(m: SpaceDescriptor, g: GroupDescriptor) -> int:
         return 0
     if m.kind == "cotangent_of_rep" and m.theory is not None:
         if g != GroupDescriptor.torus(m.theory.rank):
-            raise UnknownCoulombDimensionError(f"theory rank does not match {g}")
+            raise UnsupportedInputError(f"theory rank does not match {g}")
         from .abelian_coulomb import reduce_multiplicative
 
         reduced, _ = reduce_multiplicative(m.theory)
         return 2 * reduced.rank
-    raise UnknownCoulombDimensionError(f"no Coulomb dimension rule for kind {m.kind!r}")
+    raise UnsupportedInputError(f"no Coulomb dimension rule for kind {m.kind!r}")
 
 
 def kostant_reduction_check(m: SpaceDescriptor, g: GroupDescriptor) -> KostantCheck:

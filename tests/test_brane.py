@@ -6,9 +6,7 @@ import pytest
 from sdualkit.brane import (
     BraneDiagram,
     LinkingData,
-    NonAdmissibleMoveError,
     QuiverData,
-    UnsupportedDiagramError,
     admissible_moves,
     concat,
     expected_space,
@@ -17,6 +15,7 @@ from sdualkit.brane import (
     quiver_to_diagram,
     sdual,
 )
+from sdualkit.exactalg import UnsupportedInputError
 from sdualkit.partitions import Partition
 from sdualkit.verify import random_diagram
 
@@ -25,7 +24,7 @@ class TestDiagramBasics:
     def test_grammar_round_trip(self):
         text = "0 o 1 x 1 x 1 o 0"
         d = BraneDiagram.parse(text)
-        assert d.render() == text
+        assert d.render() == str(d) == text
         assert BraneDiagram.parse(d.render()) == d
 
     def test_json_round_trip(self):
@@ -183,7 +182,7 @@ class TestHananyWitten:
 
     def test_negative_dimension_rejected(self):
         d = BraneDiagram(["o", "x"], [0, 9, 0])
-        with pytest.raises(NonAdmissibleMoveError):
+        with pytest.raises(UnsupportedInputError, match="transition at 0 would give segment dimension -8"):
             hw_move(d, 0)
 
     def test_commutes_with_sdual(self):
@@ -264,9 +263,9 @@ class TestExpectedSpace:
         assert space.dim == 12
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedDiagramError):
+        with pytest.raises(UnsupportedInputError, match="only single building blocks and all-o chains"):
             expected_space(BraneDiagram(["o", "x"], [0, 1, 0]))
-        with pytest.raises(UnsupportedDiagramError):
+        with pytest.raises(UnsupportedInputError, match="all-o chains must start at dimension 0"):
             expected_space(BraneDiagram(["o", "o"], [1, 1, 1]))
 
     def test_block_dimension_gap_recorded(self):

@@ -9,7 +9,6 @@ import sympy
 from sdualkit.exactalg import (
     LinearForm,
     Polynomial,
-    RankMismatchError,
     eval_product,
     integer_kernel,
     integer_rank,
@@ -136,11 +135,11 @@ class TestPolynomial:
     def test_malformed_input(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Polynomial(-1)
-        with pytest.raises(RankMismatchError, match="wrong length"):
+        with pytest.raises(ValueError, match="wrong length"):
             Polynomial(2, {(1,): 1})
         with pytest.raises(ValueError, match="negative exponent"):
             Polynomial(1, {(-1,): 1})
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(ValueError, match="form of rank 2 paired with vector of length 1"):
             LinearForm([1, 2]).pairing((1,))
 
     def test_no_zero_coefficients_stored(self):
@@ -194,8 +193,15 @@ class TestPolynomial:
                 assert all(len(e) == rank and min(e, default=0) >= 0 for e in p.terms)
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(ValueError, match="rank 2 vs 1"):
             Polynomial.constant(1, 1) + Polynomial.constant(2, 1)
+
+    def test_int_and_foreign_operands(self):
+        p = Polynomial(1, {(1,): 2})
+        assert 1 - p == Polynomial(1, {(0,): 1, (1,): -2})
+        for op in (lambda: Polynomial(1) + "a", lambda: p - "a", lambda: p * "a", lambda: "a" * p):
+            with pytest.raises(TypeError):
+                op()
 
     def test_constants(self):
         assert Polynomial.constant(2, 0).terms == {}
@@ -248,7 +254,7 @@ class TestEvalProduct:
             )
 
     def test_mismatched_ranks_rejected(self):
-        with pytest.raises(RankMismatchError):
+        with pytest.raises(ValueError, match="form rank 2 != 1"):
             eval_product([(LinearForm([1]), 1), (LinearForm([1, 0]), 1)], rank=1)
 
     def test_matches_sympy_expansion(self):

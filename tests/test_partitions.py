@@ -74,6 +74,10 @@ class TestPartitionBasics:
             with pytest.raises(ValueError):
                 Partition.parse(text)
 
+    def test_a_negative_total_has_no_partitions(self):
+        assert list(partitions_of(-3)) == []
+        assert list(partitions_of(0)) == [Partition(())]
+
 
 class TestTranspose:
     def test_row_to_column(self):

@@ -20,8 +20,12 @@ from sdualkit import (
     SpaceDescriptor,
     TorusTheory,
     chain_to_orbit,
+    hw_move,
     present_rank1,
+    rank_profile,
+    structure_constant_table,
 )
+from sdualkit.abelian_coulomb import cochar_box
 from sdualkit.exactalg import Value
 
 # One factory per value class; each call builds a fresh, equal value.
@@ -157,6 +161,14 @@ NOT_INTS = {
     "Polynomial.exponent": lambda bad: Polynomial(1, {(bad,): 1}),
     "Polynomial.coefficient": lambda bad: Polynomial(1, {(1,): bad}),
     "Polynomial.constant": lambda bad: Polynomial.constant(1, bad),
+    "Polynomial.constant.rank": lambda bad: Polynomial.constant(bad, 3),
+    "rank_profile.power": lambda bad: rank_profile([3, 1], bad),
+    "structure_constant_table.cutoff": lambda bad: structure_constant_table(
+        TorusTheory(1, [[1]]), cutoff=bad
+    ),
+    "cochar_box.cutoff": lambda bad: cochar_box(2, bad),
+    "cochar_box.rank": lambda bad: cochar_box(bad, 1),
+    "hw_move.index": lambda bad: hw_move(BraneDiagram(["o", "x", "o"], [0, 1, 1, 0]), bad),
     "LinkingData": lambda bad: LinkingData([bad], []),
     "GroupDescriptor": lambda bad: GroupDescriptor.gl(bad),
     "SpaceDescriptor.rep_dims": lambda bad: SpaceDescriptor.cotangent_of_rep(dims=(bad, 2)),

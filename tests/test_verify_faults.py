@@ -5,7 +5,7 @@ import types
 
 import pytest
 
-from sdualkit import abelian_coulomb, brane, verify
+from sdualkit import abelian_coulomb, brane, cli, verify
 
 FAULT_GAUGE, FAULT_FRAMING = (3, 1), (0, 2)
 
@@ -46,3 +46,17 @@ def test_product_laws_fail_on_a_faulty_exponent_rule(monkeypatch):
     passed, detail = run_check("coulomb-product-laws")
     assert not passed
     assert detail.startswith("value-level associativity failed")
+
+
+def test_a_check_that_raises_fails_and_verify_exits_1(monkeypatch, capsys):
+    name = "sdual-compose-dims"
+
+    def raising(rng):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(verify, "CHECKS", [(n, raising if n == name else f) for n, f in verify.CHECKS])
+    (result,) = verify.run_checks(name_filter=name)
+    assert (result.name, result.passed, result.detail) == (name, False, "raised ValueError: planted")
+    assert cli.main(["verify", "--filter", name]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"FAIL {name}: raised ValueError: planted", "0/1 checks passed"]
