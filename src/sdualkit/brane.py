@@ -140,7 +140,7 @@ def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
     """
     if type(i) is not int or not 0 <= i < len(d.branes) - 1:
         strict_int(i, "move index")  # a non-int index is malformed, not out of range
-        raise IndexError(f"no adjacent pair at index {i}")
+        raise UnsupportedInputError(f"no adjacent pair at index {i}")
     if d.branes[i] == d.branes[i + 1]:
         raise ValueError(f"branes at {i}, {i + 1} have the same type; move undefined")
     d1, d2, d3 = d.dims[i], d.dims[i + 1], d.dims[i + 2]

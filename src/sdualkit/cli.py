@@ -3,9 +3,8 @@
 Exit codes: 0 ok, 1 verification failure, 2 malformed input (a parse error, or a
 verify --filter that matches no check), 3 unsupported input, or a valid input
 above one of the bounds below. The type of the error decides: an
-exactalg.UnsupportedInputError exits 3, as do a document nested too deep and a
-move index past the diagram; every other ValueError, and an unreadable file,
-exits 2.
+exactalg.UnsupportedInputError exits 3, as does a document nested too deep;
+every other ValueError, and an unreadable file, exits 2.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ def _integers(doc) -> list[int]:
 UNSUPPORTED = (
     UnsupportedInputError,
     RecursionError,  # a document nested deeper than the interpreter recurses
-    IndexError,
 )
 
 
@@ -323,7 +321,7 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
                 pass
             else:
                 raise ValueError(f"unknown command {op!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             out.write(f"error: {exc}\n")
             continue
         show()

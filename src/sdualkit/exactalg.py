@@ -325,11 +325,13 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
     prod_j c_j^{e_j} w^D. Every form must have rank ``rank``.
     """
     factors = list(factors)
+    strict_int(rank, "rank")
     degree, bound = 0, 1
     for form, exponent in factors:
         if form.rank != rank:
             raise ValueError(f"form rank {form.rank} != {rank}")
-        if exponent < 0:
+        if type(exponent) is not int or exponent < 0:  # one type test per factor
+            strict_int(exponent, "exponent")
             raise ValueError("exponents must be nonnegative")
         degree += exponent
         bound *= sum(map(abs, form.coeffs)) ** exponent

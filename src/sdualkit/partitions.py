@@ -79,7 +79,7 @@ def hook(a: int, b: int) -> Partition:
     """The hook partition (a, 1^b) of a + b."""
     if a < 1:
         raise ValueError("hook arm must be at least 1")
-    if b < 0:
+    if strict_int(b, "hook leg") < 0:
         raise ValueError("hook leg must be nonnegative")
     return Partition((a,) + (1,) * b)
 
@@ -98,15 +98,19 @@ def dominates(lam, mu) -> bool:
     return True
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first; none for a negative n."""
+    return map(Partition, _parts_of(strict_int(n, "partition total"), n))
+
+
+def _parts_of(n: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The parts of each partition of n with no part above cap, largest part first."""
     if n == 0:
-        yield Partition(())
+        yield ()
         return
-    cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+    for first in range(min(cap, n), 0, -1):
+        for rest in _parts_of(n - first, first):
+            yield (first,) + rest
 
 
 def chain_to_orbit(dims: Sequence[int]) -> Partition:

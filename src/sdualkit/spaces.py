@@ -46,10 +46,24 @@ class GroupDescriptor(Value):
         if strict_int(size, "group size") < 0:
             what = "torus rank" if kind == "torus" else f"{kind} size"
             raise ValueError(f"{what} must be nonnegative")
-        # gl(0) is the trivial group, which is the torus of rank 0.
-        self.kind = "torus" if kind == "gl" and not size else kind
+        factors = tuple(factors)
+        if kind == "product":
+            # One form from every constructor: nested products are flattened and
+            # trivial factors dropped, and a product of one factor is that factor.
+            if size:
+                raise ValueError(f"a product group has no size, got {size}")
+            if not all(isinstance(f, GroupDescriptor) for f in factors):
+                raise ValueError(f"product factors must be groups, got {factors!r}")
+            factors = tuple(g for f in factors for g in f.factors or (f,) if not g.is_trivial)
+            if len(factors) == 1:
+                kind, size, factors = factors[0].kind, factors[0].size, ()
+        elif factors:
+            raise ValueError(f"a {kind} group has no factors, got {factors!r}")
+        # A group of no size and no factor, gl(0) or a product of none, is the
+        # trivial group: the torus of rank 0.
+        self.kind = kind if size or factors else "torus"
         self.size = size
-        self.factors = tuple(factors)
+        self.factors = factors
 
     @classmethod
     def torus(cls, r: int) -> "GroupDescriptor":
@@ -65,17 +79,7 @@ class GroupDescriptor(Value):
 
     @classmethod
     def product(cls, factors) -> "GroupDescriptor":
-        flat = []
-        for f in factors:
-            if f.kind == "product":
-                flat.extend(f.factors)
-            elif not f.is_trivial:
-                flat.append(f)
-        if not flat:
-            return cls.trivial()
-        if len(flat) == 1:
-            return flat[0]
-        return cls("product", 0, tuple(flat))
+        return cls("product", 0, factors)
 
     @property
     def dim(self) -> int:
@@ -223,8 +227,11 @@ class SpaceDescriptor(Value):
         self.rep_dims = rep_dims
         self.theory = theory
         self.factors = tuple(factors)
-        self.conjecture = bool(conjecture)
-        self.possibly_singular = bool(possibly_singular)
+        for flag, value in zip(self.FLAGS, (conjecture, possibly_singular)):
+            if type(value) is not bool:
+                raise ValueError(f"{flag} must be true or false, got {value!r}")
+        self.conjecture = conjecture
+        self.possibly_singular = possibly_singular
 
     # ---- constructors -------------------------------------------------
 
@@ -405,19 +412,9 @@ class SpaceDescriptor(Value):
 
     @classmethod
     def reduced(
-        cls,
-        dim: int,
-        left_group: GroupDescriptor = _TRIVIAL,
-        right_group: GroupDescriptor = _TRIVIAL,
-        possibly_singular: bool = False,
+        cls, dim: int, left_group: GroupDescriptor = _TRIVIAL, right_group: GroupDescriptor = _TRIVIAL
     ) -> "SpaceDescriptor":
-        return cls(
-            "reduced",
-            dim,
-            left_group=left_group,
-            right_group=right_group,
-            possibly_singular=possibly_singular,
-        )
+        return cls("reduced", dim, left_group=left_group, right_group=right_group)
 
     @classmethod
     def m_circle(cls, vi: int, vj: int) -> "SpaceDescriptor":
@@ -520,7 +517,7 @@ class SpaceDescriptor(Value):
                 args[side] = GroupDescriptor.from_json(data[side])
         # No constructor reads a flag, so every kind takes them as written.
         flags = {flag: data.get(flag, False) for flag in cls.FLAGS}
-        built = _flagged(getattr(cls, constructor)(**args), **flags)
+        built = _rebuilt(getattr(cls, constructor)(**args), **flags)
         if "dim" in data and strict_int(data["dim"], "dim") != built.dim:
             raise ValueError(
                 f"stated dim {data['dim']!r} differs from dim {built.dim} of this {kind}"
@@ -528,13 +525,9 @@ class SpaceDescriptor(Value):
         return built
 
 
-def _flagged(m: SpaceDescriptor, **flags) -> SpaceDescriptor:
-    """``m``, just built and held by nothing else, with ``flags`` set."""
-    for flag, value in flags.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"{flag} must be true or false, got {value!r}")
-        setattr(m, flag, value)
-    return m
+def _rebuilt(m: SpaceDescriptor, **changes) -> SpaceDescriptor:
+    """``m`` built anew through ``SpaceDescriptor.__init__``, with ``changes`` to its fields."""
+    return SpaceDescriptor(**dict(zip(m.__slots__, m._slot_values(m)), **changes))
 
 
 def orbit_closure_text(lam: Partition) -> str:
@@ -582,12 +575,8 @@ def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> 
     if g2.is_trivial and m12.kind == "point" and m12.left_group.is_trivial:
         return m23
     dim = m12.dim + m23.dim - 2 * g2.dim
-    return SpaceDescriptor.reduced(
-        dim,
-        left_group=m12.left_group,
-        right_group=m23.right_group,
-        possibly_singular=True,
-    )
+    reduced = SpaceDescriptor.reduced(dim, m12.left_group, m23.right_group)
+    return _rebuilt(reduced, possibly_singular=True)
 
 
 def _is_m_cross(m: SpaceDescriptor) -> tuple[int, int] | None:
@@ -619,13 +608,6 @@ def sdual_pair(m: SpaceDescriptor) -> SpaceDescriptor:
     return dual
 
 
-def _mirror(m: SpaceDescriptor) -> SpaceDescriptor:
-    """``m`` with its two acting groups swapped."""
-    fields = dict(zip(m.__slots__, m._slot_values(m)))
-    fields["left_group"], fields["right_group"] = m.right_group, m.left_group
-    return SpaceDescriptor(**fields)
-
-
 def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
     """The dual-pair table entry of m's kind, which sdual_pair checks.
 
@@ -634,10 +616,11 @@ def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
     each constructor's default left group (its carrier), the right trivial.
     """
     if m.left_group.is_trivial and not m.right_group.is_trivial:
-        return _mirror(_table_entry(_mirror(m)))
+        dual = _table_entry(_rebuilt(m, left_group=m.right_group, right_group=m.left_group))
+        return _rebuilt(dual, left_group=dual.right_group, right_group=dual.left_group)
     if m.kind == "cotangent_of_rep":
         if m.theory is None:
-            return _flagged(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
+            return _rebuilt(SpaceDescriptor.m_cross(*m.rep_dims), conjecture=True)
         from .abelian_coulomb import sdual_torus
 
         return sdual_torus(m.theory)
@@ -646,7 +629,7 @@ def _table_entry(m: SpaceDescriptor) -> SpaceDescriptor:
         # left one beside it).
         pair = _is_m_cross(m)
         if pair is not None:
-            return _flagged(SpaceDescriptor.m_circle(*pair), conjecture=True)
+            return _rebuilt(SpaceDescriptor.m_circle(*pair), conjecture=True)
         if m.kind == "product":
             raise UnsupportedInputError("product descriptor is not a recognized building block")
         raise UnsupportedInputError("two-sided slice block not of hook shape")

@@ -177,7 +177,7 @@ class TestHananyWitten:
 
     def test_index_out_of_range(self):
         d = BraneDiagram(["o", "x"], [0, 1, 0])
-        with pytest.raises(IndexError):
+        with pytest.raises(UnsupportedInputError, match="no adjacent pair at index 5"):
             hw_move(d, 5)
 
     def test_negative_dimension_rejected(self):

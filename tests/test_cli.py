@@ -455,6 +455,10 @@ class TestRepl:
         assert lines[-3] == "0 9 0"
         assert lines[-2] == "0 o 9 x 0"
 
+    def test_index_past_the_diagram_is_an_error(self):
+        lines = self.run_transcript("0 o 1 x 1 x 1 o 0", "hw 9\ndims\n")
+        assert lines[2:] == ["error: no adjacent pair at index 9", "0 1 1 1 0", *lines[:2]]
+
     def test_non_integer_index_is_an_error(self):
         lines = self.run_transcript("0 o 1 x 1 x 1 o 0", "hw \u0660\nhw 0_0\n")
         assert [line for line in lines if line.startswith("error:")] == [
@@ -481,7 +485,7 @@ class TestExitCodes:
     def test_one_base_for_unsupported_input(self):
         # An error's type says only which exit code it gets, so the package
         # defines one exception class: the exit-3 base.
-        assert cli.UNSUPPORTED == (UnsupportedInputError, RecursionError, IndexError)
+        assert cli.UNSUPPORTED == (UnsupportedInputError, RecursionError)
         assert issubclass(UnsupportedInputError, ValueError)
         classes = [
             (path.stem, node)

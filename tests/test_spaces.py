@@ -46,6 +46,32 @@ class TestGroupDescriptor:
             GroupDescriptor("gl", -1)
         assert GroupDescriptor("gl", 0) == GroupDescriptor.trivial()
 
+    def test_the_raw_constructor_gives_the_flat_form(self):
+        t1, gl2, gl3 = GroupDescriptor.torus(1), GroupDescriptor.gl(2), GroupDescriptor.gl(3)
+        nested = GroupDescriptor("product", 0, (GroupDescriptor("product", 0, (t1, gl2)), gl3))
+        for raw, canonical in (
+            (GroupDescriptor("product"), GroupDescriptor.trivial()),
+            (GroupDescriptor("product", 0, (GroupDescriptor.trivial(),)), GroupDescriptor.trivial()),
+            (GroupDescriptor("product", 0, (t1,)), t1),
+            (GroupDescriptor("product", 0, (gl2, GroupDescriptor.gl(0))), gl2),
+            (nested, GroupDescriptor.product([t1, gl2, gl3])),
+        ):
+            assert raw == canonical
+            assert str(raw) == str(canonical) and repr(raw) == repr(canonical)
+        assert nested.factors == (t1, gl2, gl3)
+
+    def test_the_raw_constructor_refuses_a_misplaced_size_or_factor(self):
+        with pytest.raises(ValueError, match="a torus group has no factors"):
+            GroupDescriptor("torus", 1, (GroupDescriptor.gl(2),))
+        with pytest.raises(ValueError, match="a gl group has no factors"):
+            GroupDescriptor("gl", 2, (GroupDescriptor.gl(2),))
+        with pytest.raises(ValueError, match="a product group has no size, got 2"):
+            GroupDescriptor("product", 2, (GroupDescriptor.gl(2),))
+        with pytest.raises(ValueError, match="product factors must be groups"):
+            GroupDescriptor("product", 0, (GroupDescriptor.gl(2), 3))
+        with pytest.raises(ValueError, match="product factors must be groups"):
+            GroupDescriptor.product([SpaceDescriptor.point()])
+
     def test_json_round_trip(self):
         for g in (
             GroupDescriptor.torus(2),
@@ -56,6 +82,12 @@ class TestGroupDescriptor:
 
 
 class TestDescriptorConstruction:
+    @pytest.mark.parametrize("flag", SpaceDescriptor.FLAGS)
+    @pytest.mark.parametrize("bad", ["no", 1, 0, None])
+    def test_the_raw_constructor_takes_only_bool_flags(self, flag, bad):
+        with pytest.raises(ValueError, match=f"{flag} must be true or false, got {bad!r}"):
+            SpaceDescriptor("point", 0, **{flag: bad})
+
     def test_dimension_consistency(self):
         assert SpaceDescriptor.point(GroupDescriptor.gl(2)).dim == 0
         assert SpaceDescriptor.cotangent_of_group(GroupDescriptor.gl(3)).dim == 18
@@ -119,7 +151,9 @@ class TestDescriptorConstruction:
             SpaceDescriptor.m_cross(3, 1),
             SpaceDescriptor.m_cross(2, 2),
             SpaceDescriptor.cotangent_of_rep(theory=TorusTheory(1, [[1], [1]])),
-            SpaceDescriptor.reduced(6, GroupDescriptor.gl(1), GroupDescriptor.gl(2), True),
+            SpaceDescriptor(
+                "reduced", 6, GroupDescriptor.gl(1), GroupDescriptor.gl(2), possibly_singular=True
+            ),
         ]
         for d in samples:
             assert SpaceDescriptor.from_json(json.loads(json.dumps(d.to_json()))) == d

@@ -20,7 +20,10 @@ from sdualkit import (
     SpaceDescriptor,
     TorusTheory,
     chain_to_orbit,
+    eval_product,
+    hook,
     hw_move,
+    partitions_of,
     present_rank1,
     rank_profile,
     structure_constant_table,
@@ -169,6 +172,11 @@ NOT_INTS = {
     "cochar_box.cutoff": lambda bad: cochar_box(2, bad),
     "cochar_box.rank": lambda bad: cochar_box(bad, 1),
     "hw_move.index": lambda bad: hw_move(BraneDiagram(["o", "x", "o"], [0, 1, 1, 0]), bad),
+    "eval_product.exponent.rank1": lambda bad: eval_product([(LinearForm([2]), bad)], 1),
+    "eval_product.exponent.rank2": lambda bad: eval_product([(LinearForm([1, 2]), bad)], 2),
+    "eval_product.rank": lambda bad: eval_product([(LinearForm([2]), 1)], bad),
+    "partitions_of": lambda bad: list(partitions_of(bad)),
+    "hook.leg": lambda bad: hook(2, bad),
     "LinkingData": lambda bad: LinkingData([bad], []),
     "GroupDescriptor": lambda bad: GroupDescriptor.gl(bad),
     "SpaceDescriptor.rep_dims": lambda bad: SpaceDescriptor.cotangent_of_rep(dims=(bad, 2)),
@@ -190,3 +198,45 @@ def test_constructors_take_only_ints(build, bad):
 def test_a_falsy_non_int_is_not_the_trivial_group(bad):
     with pytest.raises(ValueError, match="integer"):
         GroupDescriptor.gl(bad)
+
+
+def _attribute_writes(node, scope: str, found: set) -> set:
+    """(enclosing class.function, written object) for each attribute that the
+    code under ``node`` sets or deletes, and (enclosing class.function, name)
+    for each name or attribute called setattr or __setattr__."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _attribute_writes(child, f"{scope}.{child.name}".lstrip("."), found)
+            continue
+        if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+            found.add((scope, ast.unparse(child.value)))
+        name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+        if name in ("setattr", "__setattr__"):
+            found.add((scope, name))
+        _attribute_writes(child, scope, found)
+    return found
+
+
+def test_values_are_written_only_while_they_are_built():
+    # A value's fields are set once, by its __init__ or, on an object just
+    # made by object.__new__, by its _trusted wrapper; nothing changes a built
+    # value, so a value's hash and its equality never move.
+    writes, allowed = set(), {("Value.__init_subclass__", "cls")}
+    for path in sorted(pathlib.Path(sdualkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _attribute_writes(tree, "", writes)
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for func in (item for item in cls.body if isinstance(item, ast.FunctionDef)):
+                if func.name == "__init__":
+                    allowed.add((f"{cls.name}.__init__", "self"))
+                if func.name == "_trusted":
+                    allowed.update(
+                        (f"{cls.name}._trusted", target.id)
+                        for node in ast.walk(func)
+                        if isinstance(node, ast.Assign)
+                        and ast.unparse(node.value) == "object.__new__(cls)"
+                        for target in node.targets
+                    )
+    assert writes - allowed == set()
+    assert ("Value.__init_subclass__", "cls") in writes
+    assert {scope for scope, _ in writes} >= {"Polynomial._trusted", "SpaceDescriptor.__init__"}
