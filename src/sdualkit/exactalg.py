@@ -3,12 +3,20 @@
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is used anywhere, so results are bit-stable and safe to freeze into
 golden tests.
+
+Homogeneous products (eval_product, and Polynomial products of two
+homogeneous operands of several terms) pack each coefficient into a field of
+one big integer and multiply once; adding 2^(k-1) to every k-bit field of
+the product then reads each field on its own, carry-free (_unpack).
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import product
 from math import prod
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter, lshift, mul
+from struct import calcsize
 from typing import Iterable, Sequence
 
 
@@ -272,6 +280,9 @@ def _mul_terms(a: dict, b: dict) -> dict:
 
     A one-term operand only shifts and scales the other's terms, which
     cannot collide or cancel; the constant 1 returns the other dict itself.
+    Two homogeneous operands of several terms multiply packed (_unpack),
+    each product coefficient at most the product of the operands' 1-norms,
+    unless packing takes over _DENSE_FIELDS fields per pair of terms.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -280,6 +291,15 @@ def _mul_terms(a: dict, b: dict) -> dict:
         if not any(e1):
             return b if c1 == 1 else {e: c1 * c for e, c in b.items()}
         return {tuple(map(add, e, e1)): c1 * c for e, c in b.items()}
+    degrees_a, degrees_b = set(map(sum, a)), set(map(sum, b))
+    if len(degrees_a) == len(degrees_b) == 1:  # so the rank is at least 2
+        rank = len(next(iter(a)))
+        degree = degrees_a.pop() + degrees_b.pop()
+        if (degree + 1) ** (rank - 1) <= _DENSE_FIELDS * len(a) * len(b):
+            bound = sum(map(abs, a.values())) * sum(map(abs, b.values()))
+            size, shifts = _layout(bound, degree, rank)
+            pa, pb = (sum(c << sum(map(mul, e, shifts)) for e, c in t.items()) for t in (a, b))
+            return _unpack(pa * pb, size, degree, rank)
     acc: dict[tuple[int, ...], int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -288,44 +308,73 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
-def _balanced_digits(value: int, k: int, count: int):
-    """(position, digit) for the nonzero balanced base-2^k digits of ``value``.
+# Reading a packed field costs far less than a pair product of terms.
+_DENSE_FIELDS = 8
+# memoryview formats by size in bytes; a cast reads native byte order.
+_FIELD_FORMATS = {calcsize(f): f for f in "QIHB"}
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
-    ``k`` is a multiple of 8. Digits lie in [-2^(k-1), 2^(k-1)), least
-    significant first, and there are at most ``count`` of them. The low
-    ``k * count`` bits of the two's complement give the plain digits; a
-    plain digit at or above 2^(k-1) is taken as negative and borrows one
-    from the next position.
+
+def _layout(bound: int, degree: int, rank: int) -> tuple[int, list[int]]:
+    """Field size in bytes and the bit shift of each variable that pack a
+    homogeneous polynomial of degree ``degree`` in ``rank`` >= 2 variables,
+    coefficients at most ``bound`` in absolute value (see _unpack)."""
+    size = (bound.bit_length() + 8) // 8
+    k, base = 8 * size, degree + 1
+    return size, [k * base**e for e in range(rank - 2, -1, -1)] + [0]
+
+
+def _unpack(value: int, size: int, degree: int, rank: int) -> dict:
+    """Terms of the homogeneous polynomial packed in ``value`` by _layout.
+
+    Each coefficient c has a field of k = 8 * size bits, k > bitlength(bound).
+    The first variable is the most significant and the last one is set to 1,
+    so the fields run in the order of itertools.product over the first
+    rank - 1 exponents, and the last exponent makes up the degree. Adding
+    2^(k-1) to every field, an offset built from bytes, puts each field at
+    c + 2^(k-1) in [0, 2^k): it reads on its own, with no borrow from its
+    neighbour, and holds no term if it reads 2^(k-1). Fields of 3, 5, 6
+    or 7 bytes are read widened to the next memoryview format: wider
+    fields would slow the big-integer product more than the copy costs.
     """
-    size = k // 8
-    data = (value & ((1 << (k * count)) - 1)).to_bytes(size * count, "little")
-    half, full = 1 << (k - 1), 1 << k
-    borrow = 0
-    for position, start in enumerate(range(0, size * count, size)):
-        digit = int.from_bytes(data[start : start + size], "little") + borrow
-        borrow = digit >= half
-        if borrow:
-            digit -= full
-        if digit:
-            yield position, digit
+    count = (degree + 1) ** (rank - 1)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = (value + offset).to_bytes(size * count, "little")
+    width = 1 << (size - 1).bit_length()
+    fmt = _FIELD_FORMATS.get(width) if _LITTLE_ENDIAN else None
+    if fmt:
+        if width > size:
+            wide = bytearray(width * count)
+            for i in range(size):
+                wide[i::width] = data[i::size]
+            data = wide
+        fields = memoryview(data).cast(fmt)
+    else:
+        fields = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    half = 1 << (8 * size - 1)
+    heads = product(range(degree + 1), repeat=rank - 1)
+    return {h + (degree - sum(h),): f - half for h, f in zip(heads, fields) if f != half}
 
 
 def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polynomial:
     """Expand prod_j a_j(w)^{e_j} exactly, by Kronecker substitution.
 
-    The product is homogeneous of degree D = sum_j e_j, so setting the last
-    variable to 1 loses nothing, and every other exponent is at most D.
-    Mapping w_i to X^((D+1)^(i-1)) with X = 2^k then packs the coefficient
-    of each monomial into its own base-X digit of one big integer,
-    prod_j a_j(X, X^(D+1), ..., 1)^{e_j}. Every coefficient is at most
+    The product is homogeneous of degree D = sum_j e_j in the variables that
+    some form with e_j > 0 uses; the others keep exponent 0, stay out of the
+    packing and are put back in place after it. Mapping the used variables
+    to X^((D+1)^(u-2)), ..., X^(D+1), X, 1 with X = 2^k packs each
+    coefficient into its own base-X field of one big integer, the product of
+    the packed forms. Every coefficient is at most
     B = prod_j (sum_i |c_ji|)^{e_j} in absolute value (the product of the
     forms with |c| in place of c, at w = 1, bounds it term by term), so
-    k = bitlength(B) + 1, rounded up to whole bytes, keeps each balanced
-    digit exact. In rank one the product is the single monomial
-    prod_j c_j^{e_j} w^D. Every form must have rank ``rank``.
+    k = bitlength(B) + 1, rounded up to whole bytes, lets _unpack read each
+    field carry-free, as the coefficient plus 2^(k-1). With at most one
+    used variable w_i the product is the monomial prod_j c_ji^{e_j} w_i^D.
+    Every form must have rank ``rank``.
     """
     factors = list(factors)
-    strict_int(rank, "rank")
+    if strict_int(rank, "rank") < 0:
+        raise ValueError("rank must be nonnegative")
     degree, bound = 0, 1
     for form, exponent in factors:
         if form.rank != rank:
@@ -340,22 +389,27 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
     if rank <= 1:
         coeff = prod(c**exponent for form, exponent in factors for c in form.coeffs)
         return Polynomial._trusted(rank, {(degree,) * rank: coeff})
-    k = (bound.bit_length() + 8) // 8 * 8
-    base = degree + 1
-    shifts = [k * base**i for i in range(rank - 1)]
+    live = [(form.coeffs, exponent) for form, exponent in factors if exponent]
+    used = [i for i, column in enumerate(zip(*(coeffs for coeffs, _ in live))) if any(column)]
+    if len(used) <= 1:
+        exps = [0] * rank
+        if used:
+            exps[used[0]] = degree
+        coeff = prod(coeffs[i] ** exponent for coeffs, exponent in live for i in used)
+        return Polynomial._trusted(rank, {tuple(exps): coeff})
+    size, shifts = _layout(bound, degree, len(used))
+    if len(used) < rank:
+        pick = itemgetter(*used)
+        live = [(pick(coeffs), exponent) for coeffs, exponent in live]
     value = 1
-    for form, exponent in factors:
-        if exponent:
-            *head, last = form.coeffs
-            value *= (last + sum(c << s for c, s in zip(head, shifts))) ** exponent
-    terms = {}
-    for position, coeff in _balanced_digits(value, k, base ** (rank - 1)):
-        exps = []
-        for _ in range(rank - 1):
-            position, e = divmod(position, base)
-            exps.append(e)
-        exps.append(degree - sum(exps))
-        terms[tuple(exps)] = coeff
+    for coeffs, exponent in live:
+        value *= sum(map(lshift, coeffs, shifts)) ** exponent
+    terms = _unpack(value, size, degree, len(used))
+    if len(used) < rank:
+        # Index len(used) picks the 0 appended to each packed exponent tuple.
+        slot = dict(zip(used, range(len(used))))
+        place = itemgetter(*(slot.get(i, len(used)) for i in range(rank)))
+        terms = {place(e + (0,)): c for e, c in terms.items()}
     return Polynomial._trusted(rank, terms)
 
 

@@ -218,6 +218,9 @@ class SpaceDescriptor(Value):
             raise ValueError(f"unknown space kind {kind!r}")
         self.kind = kind
         self.dim = strict_int(dim, "dimension")
+        for side, value in (("left_group", left_group), ("right_group", right_group)):
+            if not isinstance(value, GroupDescriptor):
+                raise ValueError(f"{side} must be a group, got {value!r}")
         self.left_group = left_group
         self.right_group = right_group
         self.group = group

@@ -12,7 +12,7 @@ import json
 import os
 import random
 from collections import namedtuple
-from operator import add
+from operator import add, itemgetter
 
 from . import abelian_coulomb, brane, spaces
 from .abelian_coulomb import (
@@ -333,9 +333,12 @@ def check_quiver_sdual_pipeline(rng: random.Random) -> tuple[bool, str]:
     for length in range(1, 5):
         for framing in itertools.product(range(5), repeat=length):
             word = _dual_word(framing)
+            # The dims of every gauge with this framing gathered from (0,) + gauge:
+            # the pattern of the gauge positions 1..length, 0 picking an outer zero.
+            dims_of = itemgetter(*_dual_dims(range(1, length + 1), framing))
             for gauge in itertools.product(range(5), repeat=length):
                 built = brane.sdual(brane.quiver_to_diagram(brane.QuiverData(gauge, framing)))
-                if not _is_dual_pattern(built, word, _dual_dims(gauge, framing)):
+                if not _is_dual_pattern(built, word, dims_of((0,) + gauge)):
                     return False, f"pipeline mismatch for gauge {gauge}, framing {framing}"
                 count += 1
     return True, f"{count} quivers: dualized diagram equals the direct pattern"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ from math import gcd
 import pytest
 import sympy
 
+from sdualkit import exactalg
 from sdualkit.exactalg import (
     LinearForm,
     Polynomial,
@@ -225,7 +227,96 @@ class TestPolynomial:
         assert str(Polynomial(1, {(1,): -1})) == "-w"
 
 
+def _pair_loop(a, b):
+    """Reference product of two term dicts: every pair of terms, summed."""
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def _homogeneous(rng, rank, degree, coeffs, size):
+    """Up to ``size`` terms of total degree ``degree``, coefficients drawn from ``coeffs``."""
+    terms = {}
+    for _ in range(size):
+        cuts = sorted(rng.randint(0, degree) for _ in range(rank - 1))
+        exps = tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [degree]))
+        terms[exps] = rng.choice(coeffs)
+    return terms
+
+
+FIELD_EDGES = [2**7 - 1, -(2**7 - 1), 2**7, -(2**7), 2**15, -(2**15), 2**15 - 1, -(2**31), 2**63, -(2**64)]
+
+
+class TestKroneckerProduct:
+    """Polynomial.__mul__ against the pair loop written above."""
+
+    @pytest.fixture(params=["native fields", "byte slices"])
+    def every_product_packed(self, request, monkeypatch):
+        # Send every homogeneous product through the packer, and read its
+        # fields by memoryview casts or by byte slices.
+        monkeypatch.setattr(exactalg, "_DENSE_FIELDS", 10**9)
+        monkeypatch.setattr(exactalg, "_LITTLE_ENDIAN", request.param == "native fields")
+
+    def check(self, rank, a, b):
+        got = Polynomial(rank, a) * Polynomial(rank, b)
+        assert got.terms == _pair_loop(a, b), (a, b)
+        assert got == Polynomial(rank, b) * Polynomial(rank, a)
+
+    def test_random_homogeneous_operands(self, every_product_packed):
+        rng = random.Random(17)
+        small = [c for c in range(-9, 10) if c]
+        for case in range(300):
+            rank = rng.randint(2, 5)
+            coeffs = small if case % 3 else small + FIELD_EDGES
+            a = _homogeneous(rng, rank, rng.randint(0, 4), coeffs, rng.randint(2, 12))
+            b = _homogeneous(rng, rank, rng.randint(0, 4), coeffs, rng.randint(2, 12))
+            self.check(rank, a, b)
+
+    def test_bounds_on_a_byte_boundary(self, every_product_packed):
+        # |a|_1 |b|_1 = p1 * s1: 2^(8j - 1), where a field takes one byte more
+        # than just below it, and 2^(8j - 1) - 2. The cross term is the
+        # largest coefficient, within p1 + s1 of the bound, of either sign.
+        for j in range(1, 10):
+            n = 8 * j - 1
+            for p1, s1 in ((2 ** (n // 2), 2 ** (n - n // 2)), (2, 2 ** (n - 1) - 1)):
+                for sa, sb in itertools.product((1, -1), repeat=2):
+                    a = {(1, 0): sa * (p1 - 1), (0, 1): 1}
+                    b = {(1, 0): sb, (0, 1): sa * sb * (s1 - 1)}
+                    self.check(2, a, b)
+                    assert _pair_loop(a, b)[(1, 1)] == sb * (p1 * s1 - p1 - s1 + 2)
+                    lift = lambda t: {e + (1,): c for e, c in t.items()}
+                    self.check(3, lift(a), lift(b))
+
+    def test_sparse_operands_multiply_pair_by_pair(self, monkeypatch):
+        # Packed, (w1^6 + w9^6)(w1^6 - w9^6) would take 13^8 fields for 4 pair products.
+        monkeypatch.setattr(exactalg, "_unpack", None)
+        a = {(6,) + (0,) * 8: 1, (0,) * 8 + (6,): 1}
+        b = {(6,) + (0,) * 8: 1, (0,) * 8 + (6,): -1}
+        self.check(9, a, b)
+        assert len(_pair_loop(a, b)) == 2
+
+    def test_inhomogeneous_one_term_and_zero_operands(self, every_product_packed):
+        rng = random.Random(23)
+        for _ in range(100):
+            rank = rng.randint(1, 4)
+            mixed = {}
+            for degree in range(3):
+                mixed.update(_homogeneous(rng, rank, degree, [-3, -1, 2, 2**15], 2))
+            homogeneous = _homogeneous(rng, rank, 2, [-5, 1, 2**7 - 1], 4)
+            monomial = _homogeneous(rng, rank, rng.randint(0, 3), [-(2**15), 1, 7], 1)
+            for a, b in itertools.product((mixed, homogeneous, monomial, {}), repeat=2):
+                self.check(rank, a, b)
+
+
 class TestEvalProduct:
+    def test_negative_rank(self):
+        for factors in ([], [(LinearForm([]), 1)]):
+            with pytest.raises(ValueError, match="rank must be nonnegative"):
+                eval_product(factors, rank=-1)
+
     def test_single_weight(self):
         assert eval_product([(LinearForm([1]), 1)], rank=1) == Polynomial(1, {(1,): 1})
 
@@ -284,7 +375,7 @@ class TestEvalProduct:
         return {exps: int(c) for exps, c in poly.terms() if c}
 
     def test_kronecker_large_coefficients_borrow(self):
-        # Coefficients up to +-40 give negative digits that borrow across limbs.
+        # Coefficients up to +-40 give negative fields next to positive ones; each reads on its own.
         rng = random.Random(4040)
         for case in range(40):
             rank = rng.randint(2, 4)

@@ -27,6 +27,7 @@ from sdualkit.abelian_coulomb import (
     present_rank1,
     reduce_multiplicative,
     structure_constant_table,
+    structure_factor,
 )
 
 
@@ -63,12 +64,17 @@ def _check_table(rank, weights, cutoff, sample=None, rng=None):
     if sample is not None:
         table = rng.sample(table, sample)
     for lam, mu, poly in table:
-        total = tuple(a + b for a, b in zip(lam, mu))
-        ratio, remainder = (
-            _abelian_image(weights, lam, ws) * _abelian_image(weights, mu, ws)
-        ).div(_abelian_image(weights, total, ws))
-        assert remainder.is_zero, (weights, lam, mu)
-        assert ratio == _as_sympy(poly, ws), (weights, lam, mu, str(poly))
+        _check_entry(weights, lam, mu, poly, ws)
+
+
+def _check_entry(weights, lam, mu, poly, ws):
+    """The engine's structure constant ``poly`` of r[lam] r[mu] is the ratio of images."""
+    total = tuple(a + b for a, b in zip(lam, mu))
+    ratio, remainder = (
+        _abelian_image(weights, lam, ws) * _abelian_image(weights, mu, ws)
+    ).div(_abelian_image(weights, total, ws))
+    assert remainder.is_zero, (weights, lam, mu)
+    assert ratio == _as_sympy(poly, ws), (weights, lam, mu, str(poly))
 
 
 def _element_image(element, weights, ws):
@@ -94,6 +100,24 @@ class TestAbelianization:
         rng = random.Random("oracles:abelian:3")
         for _ in range(4):
             _check_table(3, _random_weights(rng, 3), cutoff=1, sample=80, rng=rng)
+
+    def test_ranks_four_to_nine_with_unused_variables(self):
+        # One structure constant at a time: a rank-9 table would hold 3^18
+        # entries. Every form lives on the same two to four variables, so the
+        # others appear in no factor.
+        rng = random.Random("oracles:abelian:4-9")
+        for rank in range(4, 10):
+            ws = _symbols(rank)
+            for _ in range(3):
+                used = rng.sample(range(rank), rng.randint(2, 4))
+                weights = []
+                for _ in range(rng.randint(1, 3)):
+                    weights.append([rng.randint(-2, 2) if i in used else 0 for i in range(rank)])
+                t = TorusTheory(rank, weights)
+                for _ in range(8):
+                    lam = tuple(rng.randint(-1, 1) for _ in range(rank))
+                    mu = tuple(rng.randint(-1, 1) for _ in range(rank))
+                    _check_entry(weights, lam, mu, structure_factor(t, lam, mu), ws)
 
     def test_products_of_elements(self):
         # Images multiply: this covers multiply, + and - and integer coefficients.

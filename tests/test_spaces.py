@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,22 @@ class TestDescriptorConstruction:
     def test_the_raw_constructor_takes_only_bool_flags(self, flag, bad):
         with pytest.raises(ValueError, match=f"{flag} must be true or false, got {bad!r}"):
             SpaceDescriptor("point", 0, **{flag: bad})
+
+    @pytest.mark.parametrize("side", ["left_group", "right_group"])
+    @pytest.mark.parametrize("bad", [5, None, "T(1)", SpaceDescriptor.point()])
+    def test_the_raw_constructor_takes_only_groups(self, side, bad):
+        with pytest.raises(ValueError, match=rf"{side} must be a group, got {re.escape(repr(bad))}"):
+            SpaceDescriptor("point", 0, **{side: bad})
+
+    @pytest.mark.parametrize("side", ["left_group", "right_group"])
+    def test_a_document_group_is_read_as_before(self, side):
+        doc = SpaceDescriptor.point().to_json()
+        for bad, message in ((5, "group document must be a JSON object, got 5"),
+                             ({"kind": "torus"}, "torus group document requires 'rank'")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SpaceDescriptor.from_json({**doc, side: bad})
+        doc[side] = GroupDescriptor.gl(2).to_json()
+        assert getattr(SpaceDescriptor.from_json(doc), side) == GroupDescriptor.gl(2)
 
     def test_dimension_consistency(self):
         assert SpaceDescriptor.point(GroupDescriptor.gl(2)).dim == 0

@@ -5,7 +5,8 @@ import types
 
 import pytest
 
-from sdualkit import abelian_coulomb, brane, cli, verify
+from sdualkit import abelian_coulomb, brane, cli, exactalg, verify
+from sdualkit.exactalg import Polynomial
 
 FAULT_GAUGE, FAULT_FRAMING = (3, 1), (0, 2)
 
@@ -46,6 +47,41 @@ def test_product_laws_fail_on_a_faulty_exponent_rule(monkeypatch):
     passed, detail = run_check("coulomb-product-laws")
     assert not passed
     assert detail.startswith("value-level associativity failed")
+
+
+def test_product_laws_fail_on_a_faulty_polynomial_product(monkeypatch):
+    mul_terms = exactalg._mul_terms
+
+    def faulty_mul_terms(a, b):
+        # one more in the lowest coefficient of each product of two multi-term operands
+        product = mul_terms(a, b)
+        if len(a) > 1 and len(b) > 1:
+            product = dict(product)
+            low = min(product)
+            product[low] += 1
+            if not product[low]:
+                del product[low]
+        return product
+
+    monkeypatch.setattr(exactalg, "_mul_terms", faulty_mul_terms)
+    passed, detail = run_check("coulomb-product-laws")
+    assert not passed
+    assert detail.startswith("associativity failed at ")
+
+
+def test_grading_fails_on_an_expansion_that_drops_a_term(monkeypatch):
+    eval_product = abelian_coulomb.eval_product
+
+    def dropping_eval_product(factors, rank):
+        terms = dict(eval_product(factors, rank).terms)
+        if terms:
+            del terms[max(terms)]
+        return Polynomial(rank, terms)
+
+    monkeypatch.setattr(abelian_coulomb, "eval_product", dropping_eval_product)
+    passed, detail = run_check("coulomb-grading")
+    assert not passed
+    assert detail.startswith("inhomogeneous structure constant at ")
 
 
 def test_a_check_that_raises_fails_and_verify_exits_1(monkeypatch, capsys):
