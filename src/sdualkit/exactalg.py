@@ -5,18 +5,17 @@ point is used anywhere, so results are bit-stable and safe to freeze into
 golden tests.
 
 Homogeneous products (eval_product, and Polynomial products of two
-homogeneous operands of several terms) pack each coefficient into a field of
-one big integer and multiply once; adding 2^(k-1) to every k-bit field of
-the product then reads each field on its own, carry-free (_unpack).
+homogeneous operands of several terms that need at most one field per pair
+of terms) pack each coefficient into a field of one big integer and multiply
+once; adding 2^(k-1) to every k-bit field of the product then reads each
+field on its own, carry-free (_unpack).
 """
 
 from __future__ import annotations
 
-import sys
 from itertools import product
 from math import prod
 from operator import add, attrgetter, itemgetter, lshift, mul
-from struct import calcsize
 from typing import Iterable, Sequence
 
 
@@ -308,11 +307,11 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return {e: c for e, c in acc.items() if c}
 
 
-# Reading a packed field costs far less than a pair product of terms.
-_DENSE_FIELDS = 8
-# memoryview formats by size in bytes; a cast reads native byte order.
-_FIELD_FORMATS = {calcsize(f): f for f in "QIHB"}
-_LITTLE_ENDIAN = sys.byteorder == "little"
+# Packing pays while it reads at most one field per pair product of terms.
+# Over 1,000 products of two multi-term homogeneous operands drawn from a
+# verify pass, this bound took 95 ms in all, 0.5 or 0.75 fields 93-95 ms,
+# 8 fields 101 ms and the pair loop alone 193 ms (2 vCPUs, Python 3.11).
+_DENSE_FIELDS = 1
 
 
 def _layout(bound: int, degree: int, rank: int) -> tuple[int, list[int]]:
@@ -333,24 +332,12 @@ def _unpack(value: int, size: int, degree: int, rank: int) -> dict:
     rank - 1 exponents, and the last exponent makes up the degree. Adding
     2^(k-1) to every field, an offset built from bytes, puts each field at
     c + 2^(k-1) in [0, 2^k): it reads on its own, with no borrow from its
-    neighbour, and holds no term if it reads 2^(k-1). Fields of 3, 5, 6
-    or 7 bytes are read widened to the next memoryview format: wider
-    fields would slow the big-integer product more than the copy costs.
+    neighbour, and holds no term if it reads 2^(k-1).
     """
     count = (degree + 1) ** (rank - 1)
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     data = (value + offset).to_bytes(size * count, "little")
-    width = 1 << (size - 1).bit_length()
-    fmt = _FIELD_FORMATS.get(width) if _LITTLE_ENDIAN else None
-    if fmt:
-        if width > size:
-            wide = bytearray(width * count)
-            for i in range(size):
-                wide[i::width] = data[i::size]
-            data = wide
-        fields = memoryview(data).cast(fmt)
-    else:
-        fields = [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    fields = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
     half = 1 << (8 * size - 1)
     heads = product(range(degree + 1), repeat=rank - 1)
     return {h + (degree - sum(h),): f - half for h, f in zip(heads, fields) if f != half}
@@ -386,9 +373,6 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
         bound *= sum(map(abs, form.coeffs)) ** exponent
     if not bound:
         return Polynomial._trusted(rank, {})
-    if rank <= 1:
-        coeff = prod(c**exponent for form, exponent in factors for c in form.coeffs)
-        return Polynomial._trusted(rank, {(degree,) * rank: coeff})
     live = [(form.coeffs, exponent) for form, exponent in factors if exponent]
     used = [i for i, column in enumerate(zip(*(coeffs for coeffs, _ in live))) if any(column)]
     if len(used) <= 1:

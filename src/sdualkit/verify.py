@@ -333,8 +333,7 @@ def check_quiver_sdual_pipeline(rng: random.Random) -> tuple[bool, str]:
     for length in range(1, 5):
         for framing in itertools.product(range(5), repeat=length):
             word = _dual_word(framing)
-            # The dims of every gauge with this framing gathered from (0,) + gauge:
-            # the pattern of the gauge positions 1..length, 0 picking an outer zero.
+            # Expected dims gathered from (0,) + gauge; index 0 picks an outer zero.
             dims_of = itemgetter(*_dual_dims(range(1, length + 1), framing))
             for gauge in itertools.product(range(5), repeat=length):
                 built = brane.sdual(brane.quiver_to_diagram(brane.QuiverData(gauge, framing)))
