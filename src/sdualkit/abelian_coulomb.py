@@ -237,7 +237,8 @@ def _exponents(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """d_j = (|p_j| + |q_j| - |p_j + q_j|) / 2 for pairings p = <a, lam>, q = <a, mu>.
 
     <a_j, lam + mu> = p_j + q_j, so the pairings of lam and mu are all the
-    rule needs. Each d_j is a nonnegative integer by the triangle inequality.
+    rule needs. Each d_j is nonnegative by the triangle inequality, and ``>> 1``
+    halves exactly: |x| = x (mod 2), so |x| + |y| - |x + y| = 0 (mod 2).
     """
     return tuple((abs(x) + abs(y) - abs(x + y)) >> 1 for x, y in zip(p, q))
 

@@ -140,6 +140,7 @@ class LinearForm(Value):
         return len(self.coeffs)
 
     def pairing(self, cochar: Sequence[int]) -> int:
+        cochar = strict_int_tuple(cochar, "cocharacter entry")
         if len(cochar) != len(self.coeffs):
             raise ValueError(
                 f"form of rank {len(self.coeffs)} paired with vector of length {len(cochar)}"

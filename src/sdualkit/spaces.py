@@ -157,7 +157,8 @@ class SpaceDescriptor(Value):
     # (attribute, JSON key) pairs; the JSON key also names the constructor's
     # parameter. Every kind also carries dim, left_group, right_group and the
     # FLAGS. to_json, from_json and _payload read this table; equality reads
-    # every slot, and one outside the kind's payload holds None, () or False.
+    # every slot, and __init__ refuses a PAYLOAD slot outside the kind's entry
+    # that holds anything but None or ().
     FIELDS = {
         "point": ("point", ()),
         "cotangent_of_rep": ("cotangent_of_rep", (("rep_dims", "dims"), ("theory", "theory"))),
@@ -181,22 +182,9 @@ class SpaceDescriptor(Value):
     # of dims / theory, and an orbit closure's group follows from n.
     OPTIONAL = {"cotangent_of_rep": ("dims", "theory"), "orbit_closure": ("group",)}
     FLAGS = ("conjecture", "possibly_singular")
+    PAYLOAD = ("group", "partition", "size", "index", "rep_dims", "theory", "factors")
 
-    __slots__ = (
-        "kind",
-        "dim",
-        "left_group",
-        "right_group",
-        "group",
-        "partition",
-        "size",
-        "index",
-        "rep_dims",
-        "theory",
-        "factors",
-        "conjecture",
-        "possibly_singular",
-    )
+    __slots__ = ("kind", "dim", "left_group", "right_group", *PAYLOAD, *FLAGS)
 
     def __init__(
         self,
@@ -230,6 +218,9 @@ class SpaceDescriptor(Value):
         self.rep_dims = rep_dims
         self.theory = theory
         self.factors = tuple(factors)
+        for attr in _FOREIGN_SLOTS[kind]:
+            if getattr(self, attr) not in (None, ()):
+                raise ValueError(f"a {kind} space has no {attr}, got {getattr(self, attr)!r}")
         for flag, value in zip(self.FLAGS, (conjecture, possibly_singular)):
             if type(value) is not bool:
                 raise ValueError(f"{flag} must be true or false, got {value!r}")
@@ -526,6 +517,13 @@ class SpaceDescriptor(Value):
                 f"stated dim {data['dim']!r} differs from dim {built.dim} of this {kind}"
             )
         return built
+
+
+# Per kind, the PAYLOAD slots outside its FIELDS entry.
+_FOREIGN_SLOTS = {
+    kind: [slot for slot in SpaceDescriptor.PAYLOAD if slot not in dict(fields)]
+    for kind, (_, fields) in SpaceDescriptor.FIELDS.items()
+}
 
 
 def _rebuilt(m: SpaceDescriptor, **changes) -> SpaceDescriptor:

@@ -94,34 +94,33 @@ def _random_theories(rng: random.Random) -> list[TorusTheory]:
 def check_coulomb_product_laws(rng: random.Random) -> tuple[bool, str]:
     theories = _random_theories(rng)
     exponents = abelian_coulomb._exponents
+    values: set[int] = set()
     triples_checked = 0
     for t in theories:
         cochars = cochar_box(t.rank, 2)
-        # Exhaustive associativity of the engine's exponent rule d over all
-        # triples, one weight at a time: the product of basis classes depends
-        # on a cocharacter only through its pairings, so distinct pairing
-        # values cover every triple. For each x, d(x, y) + d(x + y, z) and
-        # d(y, z) + d(x, y + z) are compared over all (y, z) at once.
         for a in t.linear_weights:
-            vals = tuple(sorted({a.pairing(c) for c in cochars}))
-            n = len(vals)
-            ys, zs = sorted(vals * n), vals * n  # every pair (y, z), y major
-            y_plus_z = tuple(map(add, ys, zs))
-            d_yz = exponents(ys, zs)
-            # d(v, z) over every z for each distinct v = x + y (vals holds 0, so
-            # v covers vals too), as slices of one call: one call per row would
-            # grow short tuples from a generator, and CPython keeps up to 2,000
-            # freed tuples of each short length.
-            sums = sorted(set(y_plus_z))
-            flat = exponents(sorted(sums * n), vals * len(sums))
-            rows = {v: flat[i * n : (i + 1) * n] for i, v in enumerate(sums)}
-            for x in vals:
-                left = [d_xy + d for y, d_xy in zip(vals, rows[x]) for d in rows[x + y]]
-                if left != list(map(add, d_yz, exponents((x,) * (n * n), y_plus_z))):
-                    return False, f"value-level associativity failed for {t!r}"
-            if any((abs(x) + abs(y) - abs(x + y)) % 2 for x in vals for y in vals):
-                return False, f"odd correction exponent for {t!r}"
-            triples_checked += n**3
+            pairings = {a.pairing(c) for c in cochars}
+            values |= pairings
+            triples_checked += len(pairings) ** 3
+    # Exhaustive associativity of the engine's exponent rule d: the product of
+    # basis classes depends on a cocharacter only through its pairings, so the
+    # triples of the union of every weight's pairing values cover every
+    # weight's triples. For each x, d(x, y) + d(x + y, z) and
+    # d(y, z) + d(x, y + z) are compared over all (y, z) at once, y major.
+    vals = tuple(sorted(values))
+    n = len(vals)
+    ys, zs = sorted(vals * n), vals * n
+    y_plus_z = tuple(map(add, ys, zs))
+    d_yz = exponents(ys, zs)
+    for x in vals:
+        xs = (x,) * (n * n)
+        left = list(map(add, exponents(xs, ys), exponents(tuple(map(add, xs, ys)), zs)))
+        right = list(map(add, d_yz, exponents(xs, y_plus_z)))
+        if left != right:
+            i = next(i for i, (l, r) in enumerate(zip(left, right)) if l != r)
+            return False, f"value-level associativity failed at x, y, z = {x}, {ys[i]}, {zs[i]}"
+    for t in theories:
+        cochars = cochar_box(t.rank, 2)
         # Element-level checks through the actual product implementation.
         if t.rank == 1:
             sample = [(l, m, n) for l in cochars for m in cochars for n in cochars]
@@ -248,31 +247,26 @@ def check_partition_transpose_laws(rng: random.Random) -> tuple[bool, str]:
 # Kostant reduction identity
 # ---------------------------------------------------------------------------
 
-def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
-    cases = 0
+def _kostant_cases():
+    """(space, group) pairs whose Kostant reduction identity verify checks."""
     groups = [spaces.GroupDescriptor.gl(n) for n in range(1, 7)]
-    groups += [spaces.GroupDescriptor.torus(r) for r in range(1, 5)]
-    for g in groups:
-        for m in (spaces.SpaceDescriptor.point(g), spaces.SpaceDescriptor.cotangent_of_group(g)):
-            result = spaces.kostant_reduction_check(m, g)
-            if not result.passed:
-                return False, f"failed for {m} under {g}: {result}"
-            cases += 1
-    g1 = spaces.GroupDescriptor.torus(1)
+    for g in groups + [spaces.GroupDescriptor.torus(r) for r in range(1, 5)]:
+        yield spaces.SpaceDescriptor.point(g), g
+        yield spaces.SpaceDescriptor.cotangent_of_group(g), g
+    g1, matter = spaces.GroupDescriptor.torus(1), spaces.SpaceDescriptor.cotangent_of_rep
     for size in range(0, 7):
         for weights in itertools.combinations_with_replacement(range(-3, 4), size):
-            theory = TorusTheory(1, [[wt] for wt in weights])
-            m = spaces.SpaceDescriptor.cotangent_of_rep(theory=theory)
-            result = spaces.kostant_reduction_check(m, g1)
-            if not result.passed:
-                return False, f"failed for weights {list(weights)}: {result}"
-            cases += 1
+            yield matter(theory=TorusTheory(1, [[wt] for wt in weights])), g1
     for mult in range(1, 4):
-        theory = TorusTheory(1, [], [[mult]])
-        m = spaces.SpaceDescriptor.cotangent_of_rep(theory=theory)
-        result = spaces.kostant_reduction_check(m, g1)
+        yield matter(theory=TorusTheory(1, [], [[mult]])), g1
+
+
+def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
+    cases = 0
+    for m, g in _kostant_cases():
+        result = spaces.kostant_reduction_check(m, g)
         if not result.passed:
-            return False, f"failed for multiplicative weight {mult}: {result}"
+            return False, f"failed for {m!r} under {g}: {result}"
         cases += 1
     return True, f"{cases} reduction identities hold"
 
@@ -348,21 +342,17 @@ def check_quiver_sdual_pipeline(rng: random.Random) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def check_hyperspherical_deficit(rng: random.Random) -> tuple[bool, str]:
-    t1 = spaces.GroupDescriptor.torus(1)
-    m = spaces.SpaceDescriptor.cotangent_of_rep(theory=TorusTheory(1, [[1]]))
-    if spaces.hyperspherical_deficit(m, t1) != 0:
-        return False, "weight-one hypermultiplet deficit is not 0"
-    for n in range(1, 5):
-        g = spaces.GroupDescriptor.gl(n)
-        got = spaces.hyperspherical_deficit(spaces.SpaceDescriptor.cotangent_of_group(g), g)
-        if got != n * n - n:
-            return False, f"T*GL({n}) deficit {got} != {n * n - n}"
-    expected_pt = {"T(1)": -2, "GL(1)": -2, "GL(2)": -6, "GL(3)": -12, "GL(4)": -20}
-    groups = [spaces.GroupDescriptor.torus(1)] + [spaces.GroupDescriptor.gl(n) for n in range(1, 5)]
-    for g in groups:
-        got = spaces.hyperspherical_deficit(spaces.SpaceDescriptor.point(g), g)
-        if got != expected_pt[str(g)] or got != -(g.dim + g.rank):
-            return False, f"trivial-matter deficit under {g} is {got}"
+    torus, gl = spaces.GroupDescriptor.torus, spaces.GroupDescriptor.gl
+    point, tgl = spaces.SpaceDescriptor.point, spaces.SpaceDescriptor.cotangent_of_group
+    cases = [(spaces.SpaceDescriptor.cotangent_of_rep(theory=TorusTheory(1, [[1]])), torus(1), 0)]
+    cases += [(tgl(gl(n)), gl(n), n * n - n) for n in range(1, 5)]
+    # A point's deficit is -(dim g + rank g).
+    points = zip([torus(1)] + [gl(n) for n in range(1, 5)], (-2, -2, -6, -12, -20))
+    cases += [(point(g), g, want) for g, want in points]
+    for m, g, want in cases:
+        got = spaces.hyperspherical_deficit(m, g)
+        if got != want:
+            return False, f"deficit of {m} under {g} is {got}, want {want}"
     return True, "deficits match the recorded values"
 
 

@@ -144,6 +144,12 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="form of rank 2 paired with vector of length 1"):
             LinearForm([1, 2]).pairing((1,))
 
+    @pytest.mark.parametrize("cochar", [(1.5, True), ("ab",), (1, True), (1, None)])
+    def test_pairing_takes_only_int_cocharacters(self, cochar):
+        with pytest.raises(ValueError, match="cocharacter entry must be an integer"):
+            LinearForm([1, 2]).pairing(cochar)
+        assert LinearForm([1, 2]).pairing([3, -4]) == -5
+
     def test_no_zero_coefficients_stored(self):
         p = Polynomial(1, {(0,): 1}) - Polynomial(1, {(0,): 1})
         assert p.terms == {}

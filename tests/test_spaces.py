@@ -82,6 +82,25 @@ class TestGroupDescriptor:
             assert GroupDescriptor.from_json(json.loads(json.dumps(g.to_json()))) == g
 
 
+def one_of_each_kind() -> list[SpaceDescriptor]:
+    theory = TorusTheory(2, [[1, 0], [2, 1]])
+    return [
+        SpaceDescriptor.point(GroupDescriptor.gl(2)),
+        SpaceDescriptor.cotangent_of_rep(dims=(2, 3)),
+        SpaceDescriptor.cotangent_of_rep(theory=theory),
+        SpaceDescriptor.cotangent_of_group(GroupDescriptor.gl(3)),
+        SpaceDescriptor.group_times_slice(GroupDescriptor.gl(4), [2, 1, 1]),
+        SpaceDescriptor.orbit_closure(4, [3, 1]),
+        SpaceDescriptor.type_a_singularity(2),
+        SpaceDescriptor.torus_cotangent(3),
+        SpaceDescriptor.m_cross(2, 2),
+        SpaceDescriptor.coulomb_branch(theory),
+        SpaceDescriptor(
+            "reduced", 6, GroupDescriptor.gl(1), GroupDescriptor.gl(2), possibly_singular=True
+        ),
+    ]
+
+
 class TestDescriptorConstruction:
     @pytest.mark.parametrize("flag", SpaceDescriptor.FLAGS)
     @pytest.mark.parametrize("bad", ["no", 1, 0, None])
@@ -94,6 +113,21 @@ class TestDescriptorConstruction:
     def test_the_raw_constructor_takes_only_groups(self, side, bad):
         with pytest.raises(ValueError, match=rf"{side} must be a group, got {re.escape(repr(bad))}"):
             SpaceDescriptor("point", 0, **{side: bad})
+
+    def test_the_raw_constructor_refuses_a_slot_its_kind_lacks(self):
+        with pytest.raises(ValueError, match="a point space has no partition, got 5"):
+            SpaceDescriptor("point", 0, partition=5)
+        with pytest.raises(ValueError, match="a torus_cotangent space has no index, got 7"):
+            SpaceDescriptor("torus_cotangent", 2, size=1, index=7)
+        assert SpaceDescriptor("point", 0, factors=[]) == SpaceDescriptor.point()
+        payload = set(SpaceDescriptor.__slots__) - {"kind", "dim", "left_group", "right_group"}
+        payload -= set(SpaceDescriptor.FLAGS)
+        for d in one_of_each_kind():
+            slots = dict(zip(SpaceDescriptor.__slots__, d._slot_values(d)))
+            assert SpaceDescriptor(**slots) == d
+            for slot in payload - {attr for attr, _ in SpaceDescriptor.FIELDS[d.kind][1]}:
+                with pytest.raises(ValueError, match=rf"a {d.kind} space has no {slot}, got \(1,\)"):
+                    SpaceDescriptor(**{**slots, slot: (1,)})
 
     @pytest.mark.parametrize("side", ["left_group", "right_group"])
     def test_a_document_group_is_read_as_before(self, side):
@@ -176,23 +210,8 @@ class TestDescriptorConstruction:
             assert SpaceDescriptor.from_json(json.loads(json.dumps(d.to_json()))) == d
 
     def test_json_round_trip_every_kind(self):
-        theory = TorusTheory(2, [[1, 0], [2, 1]])
         for conjecture in (False, True):
-            samples = [
-                SpaceDescriptor.point(GroupDescriptor.gl(2)),
-                SpaceDescriptor.cotangent_of_rep(dims=(2, 3)),
-                SpaceDescriptor.cotangent_of_rep(theory=theory),
-                SpaceDescriptor.cotangent_of_group(GroupDescriptor.gl(3)),
-                SpaceDescriptor.group_times_slice(GroupDescriptor.gl(4), [2, 1, 1]),
-                SpaceDescriptor.orbit_closure(4, [3, 1]),
-                SpaceDescriptor.type_a_singularity(2),
-                SpaceDescriptor.torus_cotangent(3),
-                SpaceDescriptor.m_cross(2, 2),
-                SpaceDescriptor.coulomb_branch(theory),
-                SpaceDescriptor(
-                    "reduced", 6, GroupDescriptor.gl(1), GroupDescriptor.gl(2), possibly_singular=True
-                ),
-            ]
+            samples = one_of_each_kind()
             assert {d.kind for d in samples} == set(SpaceDescriptor.KINDS)
             for d in samples:
                 d.conjecture = conjecture
