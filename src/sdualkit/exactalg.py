@@ -7,12 +7,13 @@ golden tests.
 Homogeneous products (eval_product, and Polynomial products of two
 homogeneous operands of several terms that need at most one field per pair
 of terms) pack each coefficient into a field of one big integer and multiply
-once; adding 2^(k-1) to every k-bit field of the product then reads each
-field on its own, carry-free (_unpack).
+once; adding 2^(k-1) to every k-bit field of the product then lets one
+struct.unpack read the fields, each on its own and carry-free (_unpack).
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import product
 from math import prod
 from operator import add, attrgetter, itemgetter, lshift, mul
@@ -333,12 +334,23 @@ def _unpack(value: int, size: int, degree: int, rank: int) -> dict:
     rank - 1 exponents, and the last exponent makes up the degree. Adding
     2^(k-1) to every field, an offset built from bytes, puts each field at
     c + 2^(k-1) in [0, 2^k): it reads on its own, with no borrow from its
-    neighbour, and holds no term if it reads 2^(k-1).
+    neighbour, and holds no term if it reads 2^(k-1). One struct.unpack reads
+    fields of up to 8 bytes, those of 3, 5, 6 or 7 zero-extended to 4 or 8
+    first, one strided copy per byte; wider fields are read one by one.
     """
     count = (degree + 1) ** (rank - 1)
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     data = (value + offset).to_bytes(size * count, "little")
-    fields = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    if size > 8:
+        fields = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    else:
+        width = 1 << (size - 1).bit_length()
+        if width != size:
+            wide = bytearray(width * count)
+            for i in range(size):
+                wide[i::width] = data[i::size]
+            data = wide
+        fields = struct.unpack(f"<{count}{'BHIQ'[width.bit_length() - 1]}", data)
     half = 1 << (8 * size - 1)
     heads = product(range(degree + 1), repeat=rank - 1)
     return {h + (degree - sum(h),): f - half for h, f in zip(heads, fields) if f != half}
@@ -360,21 +372,21 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
     used variable w_i the product is the monomial prod_j c_ji^{e_j} w_i^D.
     Every form must have rank ``rank``.
     """
-    factors = list(factors)
     if strict_int(rank, "rank") < 0:
         raise ValueError("rank must be nonnegative")
-    degree, bound = 0, 1
+    degree, bound, live = 0, 1, []
     for form, exponent in factors:
         if form.rank != rank:
             raise ValueError(f"form rank {form.rank} != {rank}")
         if type(exponent) is not int or exponent < 0:  # one type test per factor
             strict_int(exponent, "exponent")
             raise ValueError("exponents must be nonnegative")
-        degree += exponent
-        bound *= sum(map(abs, form.coeffs)) ** exponent
+        if exponent:
+            degree += exponent
+            bound *= sum(map(abs, form.coeffs)) ** exponent
+            live.append((form.coeffs, exponent))
     if not bound:
         return Polynomial._trusted(rank, {})
-    live = [(form.coeffs, exponent) for form, exponent in factors if exponent]
     used = [i for i, column in enumerate(zip(*(coeffs for coeffs, _ in live))) if any(column)]
     if len(used) <= 1:
         exps = [0] * rank

@@ -158,7 +158,7 @@ class SpaceDescriptor(Value):
     # parameter. Every kind also carries dim, left_group, right_group and the
     # FLAGS. to_json, from_json and _payload read this table; equality reads
     # every slot, and __init__ refuses a PAYLOAD slot outside the kind's entry
-    # that holds anything but None or ().
+    # that holds anything but None or (), and checks the type of those inside.
     FIELDS = {
         "point": ("point", ()),
         "cotangent_of_rep": ("cotangent_of_rep", (("rep_dims", "dims"), ("theory", "theory"))),
@@ -211,16 +211,20 @@ class SpaceDescriptor(Value):
                 raise ValueError(f"{side} must be a group, got {value!r}")
         self.left_group = left_group
         self.right_group = right_group
-        self.group = group
-        self.partition = partition
-        self.size = size
-        self.index = index
-        self.rep_dims = rep_dims
-        self.theory = theory
-        self.factors = tuple(factors)
+        payload = dict(
+            zip(self.PAYLOAD, (group, partition, size, index, rep_dims, theory, tuple(factors)))
+        )
         for attr in _FOREIGN_SLOTS[kind]:
-            if getattr(self, attr) not in (None, ()):
-                raise ValueError(f"a {kind} space has no {attr}, got {getattr(self, attr)!r}")
+            if payload[attr] not in (None, ()):
+                raise ValueError(f"a {kind} space has no {attr}, got {payload[attr]!r}")
+        for attr, check in _SLOT_CHECKS[kind]:
+            if payload[attr] is not None:
+                payload[attr] = check(payload[attr], attr)
+        self.group, self.partition, self.size, self.index, self.rep_dims, self.theory, self.factors = (
+            payload.values()
+        )
+        if kind == "point" and self.dim:
+            raise ValueError(f"a point space has dimension 0, got {self.dim}")
         for flag, value in zip(self.FLAGS, (conjecture, possibly_singular)):
             if type(value) is not bool:
                 raise ValueError(f"{flag} must be true or false, got {value!r}")
@@ -522,6 +526,30 @@ class SpaceDescriptor(Value):
 # Per kind, the PAYLOAD slots outside its FIELDS entry.
 _FOREIGN_SLOTS = {
     kind: [slot for slot in SpaceDescriptor.PAYLOAD if slot not in dict(fields)]
+    for kind, (_, fields) in SpaceDescriptor.FIELDS.items()
+}
+
+
+def _instance_of(cls, what: str):
+    def check(value, attr: str):
+        if not isinstance(value, cls):
+            raise ValueError(f"{attr} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+# Per kind, each slot of its FIELDS entry that __init__ checks when it is not
+# None, with its check; theory and factors are taken as given.
+_CHECKS = {
+    "group": _instance_of(GroupDescriptor, "a group"),
+    "partition": _instance_of(Partition, "a partition"),
+    "size": strict_int,
+    "index": strict_int,
+    "rep_dims": strict_int_tuple,
+}
+_SLOT_CHECKS = {
+    kind: [(attr, _CHECKS[attr]) for attr, _ in fields if attr in _CHECKS]
     for kind, (_, fields) in SpaceDescriptor.FIELDS.items()
 }
 

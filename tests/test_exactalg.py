@@ -253,6 +253,24 @@ def _homogeneous(rng, rank, degree, coeffs, size):
     return terms
 
 
+def _byte_boundary_operands():
+    """Pairs of homogeneous linear operands in two variables whose packed
+    product takes fields of each width from 1 to 10 bytes, filled to the top.
+
+    |a|_1 |b|_1 = p1 * s1: 2^(8j - 1), where a field takes one byte more than
+    just below it, and 2^(8j - 1) - 2, for j = 1..9. The cross term is the
+    largest coefficient, within p1 + s1 of the bound, of either sign.
+    """
+    for j in range(1, 10):
+        n = 8 * j - 1
+        for p1, s1 in ((2 ** (n // 2), 2 ** (n - n // 2)), (2, 2 ** (n - 1) - 1)):
+            for sa, sb in itertools.product((1, -1), repeat=2):
+                a = {(1, 0): sa * (p1 - 1), (0, 1): 1}
+                b = {(1, 0): sb, (0, 1): sa * sb * (s1 - 1)}
+                assert _pair_loop(a, b)[(1, 1)] == sb * (p1 * s1 - p1 - s1 + 2)
+                yield a, b
+
+
 FIELD_EDGES = [2**7 - 1, -(2**7 - 1), 2**7, -(2**7), 2**15, -(2**15), 2**15 - 1, -(2**31), 2**63, -(2**64)]
 
 
@@ -279,20 +297,37 @@ class TestKroneckerProduct:
             b = _homogeneous(rng, rank, rng.randint(0, 4), coeffs, rng.randint(2, 12))
             self.check(rank, a, b)
 
-    def test_bounds_on_a_byte_boundary(self, every_product_packed):
-        # |a|_1 |b|_1 = p1 * s1: 2^(8j - 1), where a field takes one byte more
-        # than just below it, and 2^(8j - 1) - 2. The cross term is the
-        # largest coefficient, within p1 + s1 of the bound, of either sign.
-        for j in range(1, 10):
-            n = 8 * j - 1
-            for p1, s1 in ((2 ** (n // 2), 2 ** (n - n // 2)), (2, 2 ** (n - 1) - 1)):
-                for sa, sb in itertools.product((1, -1), repeat=2):
-                    a = {(1, 0): sa * (p1 - 1), (0, 1): 1}
-                    b = {(1, 0): sb, (0, 1): sa * sb * (s1 - 1)}
-                    self.check(2, a, b)
-                    assert _pair_loop(a, b)[(1, 1)] == sb * (p1 * s1 - p1 - s1 + 2)
-                    lift = lambda t: {e + (1,): c for e, c in t.items()}
-                    self.check(3, lift(a), lift(b))
+    @pytest.fixture
+    def field_sizes(self, monkeypatch):
+        # The field size of every packed product, in bytes.
+        sizes, layout = set(), exactalg._layout
+
+        def recording_layout(bound, degree, rank):
+            size, shifts = layout(bound, degree, rank)
+            sizes.add(size)
+            return size, shifts
+
+        monkeypatch.setattr(exactalg, "_layout", recording_layout)
+        return sizes
+
+    def test_bounds_on_a_byte_boundary(self, every_product_packed, field_sizes):
+        for a, b in _byte_boundary_operands():
+            self.check(2, a, b)
+            lift = lambda t: {e + (1,): c for e, c in t.items()}
+            self.check(3, lift(a), lift(b))
+        assert field_sizes == set(range(1, 11))
+
+    def test_eval_product_reads_every_field_width(self, field_sizes):
+        # The same operands as linear forms, times w3 at rank 3, so that 3
+        # variables are packed: fields of 1, 2, 4 and 8 bytes read at their
+        # own width, of 3, 5, 6 and 7 bytes widened, of 9 and 10 by slices.
+        for a, b in _byte_boundary_operands():
+            forms = [LinearForm([t[(1, 0)], t[(0, 1)]]) for t in (a, b)]
+            assert eval_product([(f, 1) for f in forms], rank=2).terms == _pair_loop(a, b)
+            lifted = [(LinearForm(f.coeffs + (0,)), 1) for f in forms] + [(LinearForm([0, 0, 1]), 1)]
+            want = {e + (1,): c for e, c in _pair_loop(a, b).items()}
+            assert eval_product(lifted, rank=3).terms == want
+        assert field_sizes == set(range(1, 11))
 
     def test_sparse_operands_multiply_pair_by_pair(self, monkeypatch):
         # Packed, (w1^6 + w9^6)(w1^6 - w9^6) would take 13^8 fields for 4 pair products.

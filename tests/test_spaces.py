@@ -129,6 +129,24 @@ class TestDescriptorConstruction:
                 with pytest.raises(ValueError, match=rf"a {d.kind} space has no {slot}, got \(1,\)"):
                     SpaceDescriptor(**{**slots, slot: (1,)})
 
+    def test_the_raw_constructor_checks_the_slots_its_kind_has(self):
+        with pytest.raises(ValueError, match="a point space has dimension 0, got 5"):
+            SpaceDescriptor("point", 5)
+        with pytest.raises(ValueError, match="size must be an integer, got 'a'"):
+            SpaceDescriptor("torus_cotangent", 2, size="a")
+        with pytest.raises(ValueError, match=re.escape("partition must be a partition, got (2, 1)")):
+            SpaceDescriptor("orbit_closure", 4, partition=(2, 1), size=3)
+        with pytest.raises(ValueError, match="group must be a group, got 'GL'"):
+            SpaceDescriptor("cotangent_of_group", 8, group="GL")
+        with pytest.raises(ValueError, match="index must be an integer, got 1.0"):
+            SpaceDescriptor("type_A_singularity", 2, index=1.0)
+        with pytest.raises(ValueError, match="rep_dims must be an integer, got True"):
+            SpaceDescriptor("cotangent_of_rep", 2, rep_dims=(1, True))
+        built = SpaceDescriptor("cotangent_of_rep", 4, rep_dims=[1, 2], left_group=GroupDescriptor.gl(1),
+                                right_group=GroupDescriptor.gl(2))
+        assert built == SpaceDescriptor.cotangent_of_rep(dims=(1, 2))
+        assert built.rep_dims == (1, 2)
+
     @pytest.mark.parametrize("side", ["left_group", "right_group"])
     def test_a_document_group_is_read_as_before(self, side):
         doc = SpaceDescriptor.point().to_json()

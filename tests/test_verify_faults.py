@@ -1,5 +1,6 @@
 """Faults planted in the code under test make the verify checks fail."""
 
+import inspect
 import random
 import types
 
@@ -8,6 +9,7 @@ import pytest
 from sdualkit import abelian_coulomb, brane, cli, exactalg, spaces, verify
 from sdualkit.abelian_coulomb import TorusTheory
 from sdualkit.exactalg import Polynomial
+from sdualkit.partitions import Partition
 
 FAULT_GAUGE, FAULT_FRAMING = (3, 1), (0, 2)
 
@@ -144,3 +146,106 @@ def test_a_check_that_raises_fails_and_verify_exits_1(monkeypatch, capsys):
     assert cli.main(["verify", "--filter", name]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"FAIL {name}: raised ValueError: planted", "0/1 checks passed"]
+
+
+def test_product_laws_fail_on_a_widening_that_copies_a_byte_too_few(monkeypatch):
+    # _unpack zero-extends fields of 3, 5, 6 or 7 bytes one byte at a time;
+    # leaving out the top byte reads every such field wrong.
+    source = inspect.getsource(exactalg._unpack)
+    assert source.count("for i in range(size):") == 1
+    namespace = dict(vars(exactalg))
+    exec(source.replace("for i in range(size):", "for i in range(size - 1):"), namespace)
+    monkeypatch.setattr(exactalg, "_unpack", namespace["_unpack"])
+    passed, detail = run_check("coulomb-product-laws")
+    assert not passed
+    assert detail.startswith("associativity failed at ")
+
+
+def test_orbit_rank_oracle_fails_on_a_faulty_rank_profile(monkeypatch):
+    rank_profile = verify.rank_profile
+
+    def faulty_rank_profile(lam, k):
+        # one too many at power 1 for partitions of three or more parts
+        return rank_profile(lam, k) + (k == 1 and len(lam.parts) >= 3)
+
+    monkeypatch.setattr(verify, "rank_profile", faulty_rank_profile)
+    assert run_check("orbit-rank-oracle") == (False, "rank mismatch at [1,1,1], power 1")
+
+
+def test_partition_transpose_laws_fail_on_a_faulty_transpose(monkeypatch):
+    transpose = verify.transpose
+
+    def faulty_transpose(lam):
+        # a final part of 2 split into 1 + 1
+        parts = transpose(lam).parts
+        return Partition(parts[:-1] + (1, 1)) if parts[-1:] == (2,) else Partition(parts)
+
+    monkeypatch.setattr(verify, "transpose", faulty_transpose)
+    passed, detail = run_check("partition-transpose-laws")
+    assert not passed
+    assert detail.startswith("transpose not involutive at ")
+
+
+def test_slice_orbit_table_fails_on_an_sdual_pair_that_returns_its_input(monkeypatch):
+    monkeypatch.setattr(spaces, "sdual_pair", lambda m: m)
+    passed, detail = run_check("sdual-slice-orbit-table")
+    assert not passed
+    assert detail.startswith("dual of GL(1) x Slice[1] is ")
+
+
+def test_brane_hw_properties_fail_on_a_move_that_lowers_the_middle_dimension(monkeypatch):
+    hw_move = brane.hw_move
+
+    def faulty_hw_move(d, i):
+        # the new middle segment one too low
+        moved = hw_move(d, i)
+        dims = moved.dims[: i + 1] + (moved.dims[i + 1] - 1,) + moved.dims[i + 2 :]
+        return brane.BraneDiagram._trusted(moved.branes, dims)
+
+    monkeypatch.setattr(brane, "hw_move", faulty_hw_move)
+    passed, detail = run_check("brane-hw-properties")
+    assert not passed
+    assert detail.startswith("linking numbers changed at ")
+
+
+@pytest.mark.parametrize(
+    "name, prefix",
+    [
+        ("sdual-compose-dims", "dimension mismatch for chain "),
+        ("orbit-chain-family", "composed dimension "),
+    ],
+)
+def test_compose_checks_fail_on_a_composite_one_dimension_too_high(monkeypatch, name, prefix):
+    compose = spaces.compose
+
+    def faulty_compose(m12, m23, g2):
+        m = compose(m12, m23, g2)
+        return spaces.SpaceDescriptor.reduced(m.dim + 1, m.left_group, m.right_group)
+
+    monkeypatch.setattr(spaces, "compose", faulty_compose)
+    passed, detail = run_check(name)
+    assert not passed
+    assert detail.startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        (
+            "coulomb-presentations",
+            '{"rank": 1, "linear_weights": [[1], [1]]}: '
+            "got 'C[w, x, y] / (x*y = w^2)  [A_2 singularity]', "
+            "want 'C[w, x, y] / (x*y = w^2)  [A_1 singularity]'",
+        ),
+        ("coulomb-brane-crosscheck", "2 flavors classified as A_2 singularity  (dim 2)"),
+    ],
+)
+def test_rank_one_checks_fail_on_a_faulty_singularity_index(monkeypatch, name, detail):
+    type_a = spaces.SpaceDescriptor.type_a_singularity
+
+    def faulty_type_a(index, **groups):
+        # one too high: x*y = w^k named A_k
+        return type_a(index + 1, **groups)
+
+    monkeypatch.setattr(spaces.SpaceDescriptor, "type_a_singularity", faulty_type_a)
+    assert run_check(name) == (False, detail)
