@@ -539,8 +539,8 @@ def _instance_of(cls, what: str):
     return check
 
 
-# Per kind, each slot of its FIELDS entry that __init__ checks when it is not
-# None, with its check; theory and factors are taken as given.
+# How __init__ checks a slot of the kind's FIELDS entry that is not None, and
+# per kind the slots it checks; theory and factors are taken as given.
 _CHECKS = {
     "group": _instance_of(GroupDescriptor, "a group"),
     "partition": _instance_of(Partition, "a partition"),
