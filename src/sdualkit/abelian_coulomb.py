@@ -112,12 +112,11 @@ class TorusTheory(Value):
 
     def _annihilates(self, lam: Cochar) -> bool:
         """annihilates_multiplicative for a cocharacter _check_cochar returned."""
-        return all(b.pairing(lam) == 0 for b in self.multiplicative_weights)
+        return not any(_pairings(self.multiplicative_weights, lam))
 
     def monopole_degree_doubled(self, lam: Sequence[int]) -> int:
         """Twice the monopole degree of r[lam]."""
-        lam = self._check_cochar(lam)
-        return sum(abs(a.pairing(lam)) for a in self.linear_weights)
+        return sum(map(abs, _pairings(self.linear_weights, self._check_cochar(lam))))
 
     def monomial(self, lam: Sequence[int], coeff=1) -> "CoulombElement":
         """The element coeff * r[lam]; zero if lam meets a multiplicative weight."""
@@ -229,8 +228,8 @@ class CoulombElement(Value):
 
 
 def _pairings(forms: Sequence[LinearForm], lam: Cochar) -> tuple[int, ...]:
-    """The pairings <a_j, lam>, one per form."""
-    return tuple(sum(map(mul, a.coeffs, lam)) for a in forms)
+    """The pairings <a_j, lam>, one per form, for a checked cocharacter lam."""
+    return tuple([sum(map(mul, a.coeffs, lam)) for a in forms])
 
 
 def _exponents(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -240,7 +239,7 @@ def _exponents(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     rule needs. Each d_j is nonnegative by the triangle inequality, and ``>> 1``
     halves exactly: |x| = x (mod 2), so |x| + |y| - |x + y| = 0 (mod 2).
     """
-    return tuple((abs(x) + abs(y) - abs(x + y)) >> 1 for x, y in zip(p, q))
+    return tuple([(abs(x) + abs(y) - abs(x + y)) >> 1 for x, y in zip(p, q)])
 
 
 def structure_exponents(theory: TorusTheory, lam: Sequence[int], mu: Sequence[int]) -> tuple[int, ...]:
@@ -273,7 +272,10 @@ def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> Coulo
         at_lam = _pairings(forms, lam)
         for mu, q, at_mu in right:
             key = tuple(map(add, lam, mu))
-            term = p * q * eval_product(zip(forms, _exponents(at_lam, at_mu)), rank=rank)
+            exponents = _exponents(at_lam, at_mu)
+            term = p * q
+            if any(exponents):  # else the structure constant is 1
+                term = term * eval_product(zip(forms, exponents), rank=rank)
             acc[key] = acc[key] + term if key in acc else term
     return CoulombElement._trusted(theory, {key: c for key, c in acc.items() if c.terms})
 

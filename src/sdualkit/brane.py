@@ -23,7 +23,7 @@ from .partitions import chain_to_orbit
 NS5 = "o"
 D5 = "x"
 _SYMBOLS = frozenset((NS5, D5))
-_FLIP = {NS5: D5, D5: NS5}
+_SWAP = str.maketrans(NS5 + D5, D5 + NS5)
 
 
 class BraneDiagram(Value):
@@ -128,7 +128,8 @@ def quiver_to_diagram(q: QuiverData) -> BraneDiagram:
 
 def sdual(d: BraneDiagram) -> BraneDiagram:
     """Exchange the two fivebrane types, keeping all segment dimensions."""
-    return BraneDiagram._trusted(tuple(map(_FLIP.__getitem__, d.branes)), d.dims)
+    # tuple() of a str is sized from its length; a map or generator has no length hint
+    return BraneDiagram._trusted(tuple("".join(d.branes).translate(_SWAP)), d.dims)
 
 
 def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:

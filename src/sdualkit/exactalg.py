@@ -385,6 +385,8 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
             degree += exponent
             bound *= sum(map(abs, form.coeffs)) ** exponent
             live.append((form.coeffs, exponent))
+    if not live:
+        return Polynomial._trusted(rank, {(0,) * rank: 1})
     if not bound:
         return Polynomial._trusted(rank, {})
     used = [i for i, column in enumerate(zip(*(coeffs for coeffs, _ in live))) if any(column)]

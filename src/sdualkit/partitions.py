@@ -16,7 +16,7 @@ class Partition(Value):
         cleaned = sorted(strict_int_tuple(parts, "partition part"), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
-        self.parts = tuple(p for p in cleaned if p > 0)
+        self.parts = tuple([p for p in cleaned if p > 0])
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

@@ -23,9 +23,10 @@ from .abelian_coulomb import (
     structure_exponents,
     structure_factor,
 )
-from .exactalg import text_ints
+from .exactalg import integer_kernel, text_ints
 from .partitions import (
     Partition,
+    _jordan_matrix,
     chain_to_orbit,
     dominates,
     numeric_jordan_oracle,
@@ -168,11 +169,14 @@ def check_coulomb_grading(rng: random.Random) -> tuple[bool, str]:
             if degree is None or 2 * degree != expected:
                 return False, f"inhomogeneous structure constant at {lam},{mu} for {t!r}"
             pairs_checked += 1
-        # Products of homogeneous elements stay homogeneous.
+        # Products of homogeneous elements stay homogeneous, and a product of
+        # classes is its structure constant times the class of the sum.
         lam, mu = rng.choice(cochars), rng.choice(cochars)
         prod = multiply(t, t.monomial(lam), t.monomial(mu))
         if not prod.is_homogeneous():
             return False, f"inhomogeneous product at {lam},{mu} for {t!r}"
+        if prod != t.monomial(tuple(map(add, lam, mu)), structure_factor(t, lam, mu)):
+            return False, f"product is not its structure constant at {lam},{mu} for {t!r}"
     return True, f"{pairs_checked} structure constants homogeneous"
 
 
@@ -197,6 +201,18 @@ def check_orbit_chain_family(rng: random.Random) -> tuple[bool, str]:
     return True, "staircase chains reach the full cone with matching dimensions, n <= 8"
 
 
+def _commutant_dim(lam: Partition) -> int:
+    """dim of {x : xJ = Jx} for J of Jordan type lam, computed exactly as the kernel
+    of x -> xJ - Jx: row (i, j) holds the coefficient of each x[k][l] in (xJ - Jx)[i][j]."""
+    n, J = lam.n, _jordan_matrix(lam)
+    rows = [
+        [(k == i) * J[l][j] - J[i][k] * (l == j) for k in range(n) for l in range(n)]
+        for i in range(n)
+        for j in range(n)
+    ]
+    return len(integer_kernel(rows, n * n))
+
+
 def check_orbit_rank_oracle(rng: random.Random) -> tuple[bool, str]:
     count = 0
     for n in range(0, 11):
@@ -206,6 +222,8 @@ def check_orbit_rank_oracle(rng: random.Random) -> tuple[bool, str]:
                 if rank_profile(lam, k) != rank:
                     return False, f"rank mismatch at {lam}, power {k}"
                 count += 1
+            if n <= 7 and orbit_dim(lam) != (expected := n * n - _commutant_dim(lam)):
+                return False, f"orbit dimension {orbit_dim(lam)} != {expected} at {lam}"
     return True, f"{count} matrix ranks match the combinatorial profile, n <= 10"
 
 
@@ -285,9 +303,20 @@ def random_diagram(rng: random.Random) -> brane.BraneDiagram:
             return d
 
 
+def _counted_linking(d: brane.BraneDiagram) -> brane.LinkingData:
+    """Linking numbers by their definition: the dimension jump across each
+    brane, plus the x branes left of an o, or the o branes right of an x."""
+    b, dims = d.branes, d.dims
+    ns5 = [dims[p + 1] - dims[p] + b[:p].count(brane.D5) for p, s in enumerate(b) if s == brane.NS5]
+    d5 = [dims[p] - dims[p + 1] + b[p + 1 :].count(brane.NS5) for p, s in enumerate(b) if s == brane.D5]
+    return brane.LinkingData(ns5, d5)
+
+
 def check_brane_hw_properties(rng: random.Random) -> tuple[bool, str]:
     corpus = [random_diagram(rng) for _ in range(500)]
     for d in corpus:
+        if brane.linking_numbers(d) != _counted_linking(d):
+            return False, f"linking numbers differ from the counting definition on {d}"
         moves = brane.admissible_moves(d)
         i = rng.choice(moves)
         moved = brane.hw_move(d, i)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -148,6 +149,19 @@ class TestSdual:
         for _ in range(100):
             d1, d2 = random_diagram(rng), random_diagram(rng)
             assert sdual(concat(d1, d2)) == concat(sdual(d1), sdual(d2))
+
+    def test_flipped_words_leave_no_tuples_behind(self):
+        # A word built without a length hint is allocated at one size and
+        # freed into the free list of another, so each call would keep one.
+        diagrams = [BraneDiagram(("o",) * n, (0,) * (n + 1)) for n in range(1, 22) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            for d in diagrams:
+                sdual(d)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
 
 
 class TestHananyWitten:

@@ -90,6 +90,16 @@ class TestMultiply:
                 assert multiply(t, a, b) == multiply(t, b, a)
                 assert multiply(t, multiply(t, a, b), c) == multiply(t, a, multiply(t, b, c))
 
+    def test_zero_exponents_multiply_the_coefficients_only(self):
+        # lam and mu pair with each weight on the same side of 0, so every d_j is 0
+        t = TorusTheory(2, [[1, 0], [1, -1], [0, 2]])
+        lam, mu = (2, 1), (1, 0)
+        assert structure_exponents(t, lam, mu) == (0, 0, 0)
+        p = Polynomial(2, {(1, 0): 2, (0, 1): -1})
+        q = Polynomial(2, {(0, 0): 3, (2, 1): 1})
+        by_hand = CoulombElement(t, {(3, 1): Polynomial(2, {(1, 0): 6, (0, 1): -3, (3, 1): 2, (2, 2): -1})})
+        assert multiply(t, t.monomial(lam, p), t.monomial(mu, q)) == by_hand
+
     def test_pi1_grading_additive(self):
         t = TorusTheory(2, [[1, 0], [0, 1]])
         prod = multiply(t, t.monomial((1, 2)), t.monomial((-1, 1)))

@@ -356,6 +356,16 @@ class TestEvalProduct:
             with pytest.raises(ValueError, match="rank must be nonnegative"):
                 eval_product(factors, rank=-1)
 
+    def test_no_live_factor_gives_the_constant_one(self):
+        # every exponent 0, or no factor at all: the empty product
+        rng = random.Random(20)
+        for rank in range(4):
+            one = Polynomial.constant(rank, 1)
+            for count in range(5):
+                forms = [LinearForm([rng.randint(-3, 3) for _ in range(rank)]) for _ in range(count)]
+                assert eval_product([(form, 0) for form in forms], rank=rank) == one
+            assert eval_product([], rank=rank) == one
+
     def test_single_weight(self):
         assert eval_product([(LinearForm([1]), 1)], rank=1) == Polynomial(1, {(1,): 1})
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -77,6 +78,19 @@ class TestPartitionBasics:
     def test_a_negative_total_has_no_partitions(self):
         assert list(partitions_of(-3)) == []
         assert list(partitions_of(0)) == [Partition(())]
+
+    def test_construction_leaves_no_tuples_behind(self):
+        # As for brane.sdual's words: parts built without a length hint would
+        # leave one tuple per call in the free list of its final size.
+        inputs = [tuple(range(n, 0, -1)) for n in range(1, 25) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            for parts in inputs:
+                Partition(parts)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
 
 
 class TestTranspose:

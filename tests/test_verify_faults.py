@@ -249,3 +249,55 @@ def test_rank_one_checks_fail_on_a_faulty_singularity_index(monkeypatch, name, d
 
     monkeypatch.setattr(spaces.SpaceDescriptor, "type_a_singularity", faulty_type_a)
     assert run_check(name) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "fault, name, prefix",
+    [
+        # the structure constant and the right coefficient both dropped
+        ("term = p", "coulomb-product-laws", "commutativity failed for "),
+        # the structure constant dropped: every product law still holds
+        ("term = term", "coulomb-grading", "product is not its structure constant at "),
+    ],
+    ids=["factor-and-coefficient", "factor"],
+)
+def test_coulomb_checks_fail_on_a_product_that_skips_its_structure_constant(
+    monkeypatch, fault, name, prefix
+):
+    source = inspect.getsource(abelian_coulomb.multiply)
+    branch = "term = term * eval_product(zip(forms, exponents), rank=rank)"
+    assert source.count(branch) == 1
+    namespace = dict(vars(abelian_coulomb))
+    exec(source.replace(branch, fault), namespace)
+    monkeypatch.setattr(abelian_coulomb, "multiply", namespace["multiply"])
+    monkeypatch.setattr(verify, "multiply", namespace["multiply"])
+    passed, detail = run_check(name)
+    assert not passed
+    assert detail.startswith(prefix)
+
+
+LINKING = brane.linking_numbers
+LINKING_FAULTS = {
+    "empty": lambda d: brane.LinkingData((), ()),
+    # the mirror convention: each brane counts from the other side
+    "mirror": lambda d: LINKING(brane.BraneDiagram(d.branes[::-1], d.dims[::-1])),
+}
+
+
+@pytest.mark.parametrize("fault", LINKING_FAULTS.values(), ids=LINKING_FAULTS.keys())
+def test_brane_hw_properties_fail_on_faulty_linking_numbers(monkeypatch, fault):
+    monkeypatch.setattr(brane, "linking_numbers", fault)
+    passed, detail = run_check("brane-hw-properties")
+    assert not passed
+    assert detail.startswith("linking numbers differ from the counting definition on ")
+
+
+def test_orbit_rank_oracle_fails_on_a_faulty_orbit_dimension(monkeypatch):
+    orbit_dim = verify.orbit_dim
+
+    def faulty_orbit_dim(lam):
+        # two too many for two-part partitions
+        return orbit_dim(lam) + 2 * (len(lam.parts) == 2)
+
+    monkeypatch.setattr(verify, "orbit_dim", faulty_orbit_dim)
+    assert run_check("orbit-rank-oracle") == (False, "orbit dimension 2 != 0 at [1,1]")
