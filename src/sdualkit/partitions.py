@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import count
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Value, integer_rank, strict_int, strict_int_tuple, text_ints
@@ -17,6 +19,13 @@ class Partition(Value):
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
         self.parts = tuple([p for p in cleaned if p > 0])
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap parts as they are; only internal callers that hold canonical parts may use it."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -45,20 +54,24 @@ def _as_partition(lam) -> Partition:
 
 
 def transpose(lam) -> Partition:
-    """Conjugate partition: column lengths of the Young diagram."""
-    lam = _as_partition(lam)
-    if not lam.parts:
-        return Partition(())
-    return Partition(sum(1 for p in lam.parts if p >= k) for k in range(1, lam.parts[0] + 1))
+    """Conjugate partition: column lengths of the Young diagram. By run lengths,
+    it has lam_i - lam_(i+1) parts equal to i, for i = len(lam) down to 1."""
+    parts = _as_partition(lam).parts
+    columns, below = [], 0
+    for i in range(len(parts), 0, -1):
+        columns += [i] * (parts[i - 1] - below)
+        below = parts[i - 1]
+    return Partition._trusted(tuple(columns))
 
 
 def centralizer_dim(lam) -> int:
     """Dimension of the gl_n centralizer of a nilpotent of Jordan type lam.
 
-    Equals the dimension of the affine slice through that nilpotent, and is
-    the classical sum of squared column lengths.
+    Equals the dimension of the affine slice through that nilpotent and the
+    sum of squared column lengths, sum_i (2i - 1) lam_i = 2 n(lam) + |lam|
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.1).
     """
-    return sum(c * c for c in transpose(lam).parts)
+    return sum(map(mul, count(1, 2), _as_partition(lam).parts))
 
 
 def orbit_dim(lam) -> int:
@@ -100,7 +113,7 @@ def dominates(lam, mu) -> bool:
 
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first; none for a negative n."""
-    return map(Partition, _parts_of(strict_int(n, "partition total"), n))
+    return map(Partition._trusted, _parts_of(strict_int(n, "partition total"), n))
 
 
 def _parts_of(n: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -135,11 +148,11 @@ def chain_to_orbit(dims: Sequence[int]) -> Partition:
         raise ValueError("dimensions must be nonnegative")
     steps = len(dims) - 1
     target = dims[-1]
-    deltas = tuple(dims[i + 1] - dims[i] for i in reversed(range(steps)))
+    deltas = [dims[i + 1] - dims[i] for i in reversed(range(steps))]
     if any(d < 0 for d in deltas):
         raise ValueError(f"dimension chain {list(dims)} is not weakly increasing")
     if steps and all(deltas[i] >= deltas[i + 1] for i in range(len(deltas) - 1)):
-        return transpose(Partition(d for d in deltas if d))
+        return transpose(Partition._trusted(tuple([d for d in deltas if d])))
     feasible = [
         p
         for p in partitions_of(target)

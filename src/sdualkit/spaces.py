@@ -291,7 +291,7 @@ class SpaceDescriptor(Value):
         if lam.n != group.size:
             raise ValueError(f"slice type {lam} is not a partition of {group.size}")
         left = left_group if left_group is not None else group
-        if (left.is_trivial or right_group.is_trivial) and lam == Partition((1,) * group.size):
+        if (left.is_trivial or right_group.is_trivial) and len(lam) == group.size:
             # The slice through the zero nilpotent is all of gl_n.
             return cls.cotangent_of_group(group, left_group=left, right_group=right_group)
         return cls(
@@ -320,7 +320,7 @@ class SpaceDescriptor(Value):
         if group is not None and group != GroupDescriptor.gl(n):
             raise ValueError(f"the orbit closure of {lam} has group GL({n}), not {group}")
         left = left_group if left_group is not None else GroupDescriptor.gl(n)
-        if lam == Partition((1,) * n):
+        if len(lam) == n:
             return cls.point(left, right_group=right_group)
         return cls(
             "orbit_closure",

@@ -93,7 +93,78 @@ class TestPartitionBasics:
         assert kept < 1 << 20
 
 
+def partitions_by_smallest_part(n, smallest=1):
+    """Every partition of n with no part below ``smallest``, as a weakly
+    increasing list, built without partitions_of."""
+    if n == 0:
+        return [[]]
+    return [
+        [first] + rest
+        for first in range(smallest, n + 1)
+        for rest in partitions_by_smallest_part(n - first, first)
+    ]
+
+
+def columns(parts):
+    """Column lengths of the Young diagram by their definition: the k-th is
+    the number of parts of at least k."""
+    return [sum(1 for p in parts if p >= k) for k in range(1, max(parts, default=0) + 1)]
+
+
+class TestKernelOracles:
+    """transpose, centralizer_dim and partitions_of against counting
+    definitions, on every partition of n <= 20."""
+
+    EVERY = [
+        (n, sorted(parts, reverse=True)) for n in range(21) for parts in partitions_by_smallest_part(n)
+    ]
+
+    def test_partitions_of_yields_every_partition_once_canonically(self):
+        for n in range(21):
+            got = [lam.parts for lam in partitions_of(n)]
+            for parts in got:
+                assert type(parts) is tuple and all(p > 0 for p in parts)
+                assert list(parts) == sorted(parts, reverse=True) and sum(parts) == n
+            assert sorted(got) == sorted(tuple(p) for m, p in self.EVERY if m == n)
+
+    def test_transpose_is_the_column_count_and_canonical(self):
+        for _, parts in self.EVERY:
+            t = transpose(Partition(parts))
+            assert list(t.parts) == columns(parts)
+            assert t == Partition(t.parts) and type(t.parts) is tuple
+            assert all(c > 0 for c in t.parts) and list(t.parts) == sorted(t.parts, reverse=True)
+
+    def test_centralizer_dim_is_the_sum_of_squared_columns(self):
+        for n, parts in self.EVERY:
+            expected = sum(c * c for c in columns(parts))
+            assert centralizer_dim(Partition(parts)) == expected
+            assert orbit_dim(Partition(parts)) == n * n - expected
+
+    def test_list_tuple_and_empty_inputs(self):
+        assert transpose([1, 3, 0, 2]) == transpose((2, 3, 1)) == Partition([3, 2, 1])
+        assert transpose([4, 1]) == Partition([2, 1, 1, 1])
+        assert centralizer_dim([1, 2]) == centralizer_dim((2, 1)) == 5
+        assert centralizer_dim((1, 1, 1)) == 9
+        assert transpose(()) == transpose([]) == Partition(())
+        assert transpose(()).parts == ()
+        assert centralizer_dim(()) == centralizer_dim([]) == 0
+        assert orbit_dim(()) == 0
+
+
 class TestTranspose:
+    def test_transpose_leaves_no_tuples_behind(self):
+        # Column tuples built without a length hint would leave one tuple
+        # per call in the free list of its final size.
+        inputs = [Partition(range(n, 0, -1)) for n in range(1, 25) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            for lam in inputs:
+                transpose(lam)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
+
     def test_row_to_column(self):
         assert transpose(Partition([3])) == Partition([1, 1, 1])
         assert transpose(Partition([3, 1])) == Partition([2, 1, 1])

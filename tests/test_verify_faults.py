@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from sdualkit import abelian_coulomb, brane, cli, exactalg, spaces, verify
+from sdualkit import abelian_coulomb, brane, cli, exactalg, partitions, spaces, verify
 from sdualkit.abelian_coulomb import TorusTheory
 from sdualkit.exactalg import Polynomial
 from sdualkit.partitions import Partition
@@ -301,3 +301,14 @@ def test_orbit_rank_oracle_fails_on_a_faulty_orbit_dimension(monkeypatch):
 
     monkeypatch.setattr(verify, "orbit_dim", faulty_orbit_dim)
     assert run_check("orbit-rank-oracle") == (False, "orbit dimension 2 != 0 at [1,1]")
+
+
+def test_orbit_rank_oracle_fails_on_a_faulty_centralizer_dimension(monkeypatch):
+    centralizer_dim = partitions.centralizer_dim
+
+    def faulty_centralizer_dim(lam):
+        # one too many for two-part partitions, read by orbit_dim
+        return centralizer_dim(lam) + (len(lam) == 2)
+
+    monkeypatch.setattr(partitions, "centralizer_dim", faulty_centralizer_dim)
+    assert run_check("orbit-rank-oracle") == (False, "orbit dimension -1 != 0 at [1,1]")
