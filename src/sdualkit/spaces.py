@@ -109,11 +109,8 @@ class GroupDescriptor(Value):
         return " x ".join(str(f) for f in self.factors)
 
     def to_json(self) -> dict:
-        if self.kind == "product":
-            return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
-        if self.kind == "torus":
-            return {"kind": "torus", "rank": self.size}
-        return {"kind": "gl", "n": self.size}
+        value = [f.to_json() for f in self.factors] if self.kind == "product" else self.size
+        return {"kind": self.kind, self.JSON_KEYS[self.kind]: value}
 
     @classmethod
     def from_json(cls, data: dict) -> "GroupDescriptor":
@@ -122,8 +119,7 @@ class GroupDescriptor(Value):
         value = strict_object(data, f"{kind} group", ("kind", key), ())[key]
         if kind == "product":
             return cls.product(cls.from_json(f) for f in _list(value, key))
-        size = strict_int(value, key)
-        return cls.torus(size) if kind == "torus" else cls.gl(size)
+        return cls(kind, strict_int(value, key))
 
 
 def _kind(data, what: str, kinds) -> str:
@@ -144,6 +140,54 @@ def _list(data, what: str) -> list:
 _TRIVIAL = GroupDescriptor.trivial()
 
 
+def _instance_of(cls, what: str):
+    def check(value, attr: str):
+        if not isinstance(value, cls):
+            raise ValueError(f"{attr} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+def _check_theory(value, attr: str):
+    from .abelian_coulomb import TorusTheory  # abelian_coulomb imports this module
+
+    return _instance_of(TorusTheory, "a torus theory")(value, attr)
+
+
+def _theory_from_json(doc, key: str):
+    from .abelian_coulomb import TorusTheory
+
+    return TorusTheory.from_json(doc)
+
+
+def _check_factors(factors: tuple, attr: str) -> tuple:
+    if not all(isinstance(f, SpaceDescriptor) for f in factors):
+        raise ValueError(f"{attr} must be spaces, got {factors!r}")
+    return factors
+
+
+# A payload field of a descriptor kind: its slot; its key in the kind's JSON
+# document, also the public constructor's parameter; whether a document may
+# leave it out; check(value, attr), which __init__ applies to a value other
+# than None and which returns the value kept; encode(value); decode(json, key).
+_Field = namedtuple("_Field", "attr key optional check encode decode")
+
+
+def _int_field(attr: str, key: str) -> _Field:
+    return _Field(attr, key, False, strict_int, int, strict_int)
+
+
+_GROUP = _Field("group", "group", False, _instance_of(GroupDescriptor, "a group"),
+                GroupDescriptor.to_json, lambda doc, key: GroupDescriptor.from_json(doc))
+_PARTITION = _Field("partition", "partition", False, _instance_of(Partition, "a partition"),
+                    lambda lam: list(lam.parts), lambda parts, key: Partition(strict_ints(parts, key)))
+_THEORY = _Field("theory", "theory", False, _check_theory, lambda t: t.to_json(), _theory_from_json)
+_REP_DIMS = _Field("rep_dims", "dims", True, strict_int_tuple, list, strict_ints)
+_FACTORS = _Field("factors", "factors", False, _check_factors, lambda fs: [f.to_json() for f in fs],
+                  lambda docs, key: tuple(SpaceDescriptor.from_json(doc) for doc in _list(docs, key)))
+
+
 class SpaceDescriptor(Value):
     """Tagged record of a Hamiltonian space supporting composition and duals.
 
@@ -153,34 +197,25 @@ class SpaceDescriptor(Value):
     ``possibly_singular`` is set.
     """
 
-    # Per kind: the public constructor that rebuilds it, and its payload as
-    # (attribute, JSON key) pairs; the JSON key also names the constructor's
-    # parameter. Every kind also carries dim, left_group, right_group and the
-    # FLAGS. to_json, from_json and _payload read this table; equality reads
-    # every slot, and __init__ refuses a PAYLOAD slot outside the kind's entry
-    # that holds anything but None or (), and checks the type of those inside.
-    FIELDS = {
+    # Per kind: the public constructor that rebuilds it from its document, and
+    # its payload fields; every kind also carries dim, left_group, right_group
+    # and the FLAGS. __init__, _payload, to_json and from_json read a kind's
+    # payload here only. An orbit closure's group follows from n, and the
+    # cotangent_of_rep constructor takes exactly one of dims / theory.
+    KINDS = {
         "point": ("point", ()),
-        "cotangent_of_rep": ("cotangent_of_rep", (("rep_dims", "dims"), ("theory", "theory"))),
-        "cotangent_of_group": ("cotangent_of_group", (("group", "group"),)),
-        "group_times_slice": (
-            "group_times_slice",
-            (("group", "group"), ("partition", "partition")),
-        ),
+        "cotangent_of_rep": ("cotangent_of_rep", (_REP_DIMS, _THEORY._replace(optional=True))),
+        "cotangent_of_group": ("cotangent_of_group", (_GROUP,)),
+        "group_times_slice": ("group_times_slice", (_GROUP, _PARTITION)),
         "orbit_closure": (
-            "orbit_closure",
-            (("group", "group"), ("partition", "partition"), ("size", "n")),
+            "orbit_closure", (_GROUP._replace(optional=True), _PARTITION, _int_field("size", "n"))
         ),
-        "type_A_singularity": ("type_a_singularity", (("index", "index"),)),
-        "torus_cotangent": ("torus_cotangent", (("size", "rank"),)),
-        "product": ("product_space", (("factors", "factors"),)),
-        "coulomb_branch": ("coulomb_branch", (("theory", "theory"),)),
-        "reduced": ("reduced", (("dim", "dim"),)),
+        "type_A_singularity": ("type_a_singularity", (_int_field("index", "index"),)),
+        "torus_cotangent": ("torus_cotangent", (_int_field("size", "rank"),)),
+        "product": ("product_space", (_FACTORS,)),
+        "coulomb_branch": ("coulomb_branch", (_THEORY,)),
+        "reduced": ("reduced", (_int_field("dim", "dim"),)),
     }
-    KINDS = tuple(FIELDS)
-    # Payload keys a document may leave out: cotangent_of_rep takes exactly one
-    # of dims / theory, and an orbit closure's group follows from n.
-    OPTIONAL = {"cotangent_of_rep": ("dims", "theory"), "orbit_closure": ("group",)}
     FLAGS = ("conjecture", "possibly_singular")
     PAYLOAD = ("group", "partition", "size", "index", "rep_dims", "theory", "factors")
 
@@ -202,7 +237,7 @@ class SpaceDescriptor(Value):
         conjecture: bool = False,
         possibly_singular: bool = False,
     ):
-        if kind not in self.FIELDS:
+        if kind not in self.KINDS:
             raise ValueError(f"unknown space kind {kind!r}")
         self.kind = kind
         self.dim = strict_int(dim, "dimension")
@@ -214,12 +249,16 @@ class SpaceDescriptor(Value):
         payload = dict(
             zip(self.PAYLOAD, (group, partition, size, index, rep_dims, theory, tuple(factors)))
         )
-        for attr in _FOREIGN_SLOTS[kind]:
-            if payload[attr] not in (None, ()):
-                raise ValueError(f"a {kind} space has no {attr}, got {payload[attr]!r}")
-        for attr, check in _SLOT_CHECKS[kind]:
-            if payload[attr] is not None:
-                payload[attr] = check(payload[attr], attr)
+        lacks = payload.copy()  # the slots outside the kind's fields, once these are popped
+        for attr, _, optional, check, _, _ in self.KINDS[kind][1]:
+            value = lacks.pop(attr, None)
+            if value is not None:
+                payload[attr] = check(value, attr)
+            elif not optional and attr in payload:  # reduced's field dim is no PAYLOAD slot
+                raise ValueError(f"a {kind} space requires {attr}")
+        for attr, value in lacks.items():
+            if value not in (None, ()):
+                raise ValueError(f"a {kind} space has no {attr}, got {value!r}")
         self.group, self.partition, self.size, self.index, self.rep_dims, self.theory, self.factors = (
             payload.values()
         )
@@ -442,7 +481,7 @@ class SpaceDescriptor(Value):
     # ---- value semantics ----------------------------------------------
 
     def _payload(self) -> tuple:
-        return tuple(getattr(self, attr) for attr, _ in self.FIELDS[self.kind][1])
+        return tuple(getattr(self, field.attr) for field in self.KINDS[self.kind][1])
 
     # ---- rendering -----------------------------------------------------
 
@@ -487,10 +526,10 @@ class SpaceDescriptor(Value):
             "left_group": self.left_group.to_json(),
             "right_group": self.right_group.to_json(),
         }
-        for attr, key in self.FIELDS[self.kind][1]:
-            value = getattr(self, attr)
+        for field in self.KINDS[self.kind][1]:
+            value = getattr(self, field.attr)
             if value is not None:
-                data[key] = _CODECS.get(attr, _INT)[0](value)
+                data[field.key] = field.encode(value)
         for flag in self.FLAGS:
             if getattr(self, flag):
                 data[flag] = True
@@ -499,17 +538,11 @@ class SpaceDescriptor(Value):
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
         kind = _kind(data, "space", cls.KINDS)
-        constructor, fields = cls.FIELDS[kind]
-        optional = cls.OPTIONAL.get(kind, ())
-        strict_object(
-            data,
-            kind,
-            ["kind"] + [key for _, key in fields if key not in optional],
-            [*optional, "dim", "left_group", "right_group", *cls.FLAGS],
-        )
-        args = {
-            key: _CODECS.get(attr, _INT)[1](data[key], key) for attr, key in fields if key in data
-        }
+        constructor, fields = cls.KINDS[kind]
+        required = ["kind"] + [f.key for f in fields if not f.optional]
+        common = ["dim", "left_group", "right_group", *cls.FLAGS]
+        strict_object(data, kind, required, [f.key for f in fields] + common)
+        args = {f.key: f.decode(data[f.key], f.key) for f in fields if f.key in data}
         for side in ("left_group", "right_group"):
             if side in data:
                 args[side] = GroupDescriptor.from_json(data[side])
@@ -523,37 +556,6 @@ class SpaceDescriptor(Value):
         return built
 
 
-# Per kind, the PAYLOAD slots outside its FIELDS entry.
-_FOREIGN_SLOTS = {
-    kind: [slot for slot in SpaceDescriptor.PAYLOAD if slot not in dict(fields)]
-    for kind, (_, fields) in SpaceDescriptor.FIELDS.items()
-}
-
-
-def _instance_of(cls, what: str):
-    def check(value, attr: str):
-        if not isinstance(value, cls):
-            raise ValueError(f"{attr} must be {what}, got {value!r}")
-        return value
-
-    return check
-
-
-# How __init__ checks a slot of the kind's FIELDS entry that is not None, and
-# per kind the slots it checks; theory and factors are taken as given.
-_CHECKS = {
-    "group": _instance_of(GroupDescriptor, "a group"),
-    "partition": _instance_of(Partition, "a partition"),
-    "size": strict_int,
-    "index": strict_int,
-    "rep_dims": strict_int_tuple,
-}
-_SLOT_CHECKS = {
-    kind: [(attr, _CHECKS[attr]) for attr, _ in fields if attr in _CHECKS]
-    for kind, (_, fields) in SpaceDescriptor.FIELDS.items()
-}
-
-
 def _rebuilt(m: SpaceDescriptor, **changes) -> SpaceDescriptor:
     """``m`` built anew through ``SpaceDescriptor.__init__``, with ``changes`` to its fields."""
     return SpaceDescriptor(**dict(zip(m.__slots__, m._slot_values(m)), **changes))
@@ -562,30 +564,6 @@ def _rebuilt(m: SpaceDescriptor, **changes) -> SpaceDescriptor:
 def orbit_closure_text(lam: Partition) -> str:
     """Name of the closure of the nilpotent orbit of Jordan type lam in gl(|lam|)."""
     return f"OrbitClosure{lam} in gl({lam.n})"
-
-
-def _theory_from_json(data: dict):
-    from .abelian_coulomb import TorusTheory  # abelian_coulomb imports this module
-
-    return TorusTheory.from_json(data)
-
-
-# (encode, decode) of each payload attribute in JSON; decode takes the value
-# and its key. Integers are written unchanged and read by strict_int.
-_INT = (lambda value: value, strict_int)
-_CODECS = {
-    "group": (GroupDescriptor.to_json, lambda doc, key: GroupDescriptor.from_json(doc)),
-    "partition": (
-        lambda lam: list(lam.parts),
-        lambda parts, key: Partition(strict_ints(parts, key)),
-    ),
-    "rep_dims": (list, strict_ints),
-    "theory": (lambda theory: theory.to_json(), lambda doc, key: _theory_from_json(doc)),
-    "factors": (
-        lambda factors: [f.to_json() for f in factors],
-        lambda docs, key: tuple(SpaceDescriptor.from_json(doc) for doc in _list(docs, key)),
-    ),
-}
 
 
 def compose(m12: SpaceDescriptor, m23: SpaceDescriptor, g2: GroupDescriptor) -> SpaceDescriptor:

@@ -101,6 +101,46 @@ def one_of_each_kind() -> list[SpaceDescriptor]:
     ]
 
 
+# Each kind's payload keys in its JSON document, (required, optional), written
+# out rather than read from SpaceDescriptor: a round trip through the class's
+# own table cannot see a key it writes and reads under the wrong name.
+DOCUMENT_KEYS = {
+    "point": ((), ()),
+    "cotangent_of_rep": ((), ("dims", "theory")),
+    "cotangent_of_group": (("group",), ()),
+    "group_times_slice": (("group", "partition"), ()),
+    "orbit_closure": (("partition", "n"), ("group",)),
+    "type_A_singularity": (("index",), ()),
+    "torus_cotangent": (("rank",), ()),
+    "product": (("factors",), ()),
+    "coulomb_branch": (("theory",), ()),
+    "reduced": (("dim",), ()),
+}
+COMMON_KEYS = {"kind", "dim", "left_group", "right_group"}
+
+
+class TestDocumentSchema:
+    @pytest.mark.parametrize("d", one_of_each_kind(), ids=lambda d: d.kind)
+    def test_each_kind_writes_and_reads_exactly_its_keys(self, d):
+        required, optional = DOCUMENT_KEYS[d.kind]
+        doc = json.loads(json.dumps(d.to_json()))
+        flags = {flag for flag in SpaceDescriptor.FLAGS if getattr(d, flag)}
+        written = set(doc) - COMMON_KEYS - flags
+        # orbit_closure writes its group, cotangent_of_rep one of dims / theory
+        assert len(written & set(optional)) == min(len(optional), 1)
+        assert written == set(required) - COMMON_KEYS | (written & set(optional))
+        assert COMMON_KEYS <= set(doc)
+        for key in required:
+            with pytest.raises(ValueError, match=f"^{d.kind} document requires '{key}'$"):
+                SpaceDescriptor.from_json({k: v for k, v in doc.items() if k != key})
+        with pytest.raises(ValueError, match=re.escape(f"unknown keys ['extra'] in {d.kind} document")):
+            SpaceDescriptor.from_json({**doc, "extra": 1})
+        # the cotangent_of_rep samples carry only dims or only theory
+        assert SpaceDescriptor.from_json(doc) == d
+        if d.kind == "orbit_closure":
+            assert SpaceDescriptor.from_json({k: v for k, v in doc.items() if k != "group"}) == d
+
+
 class TestDescriptorConstruction:
     @pytest.mark.parametrize("flag", SpaceDescriptor.FLAGS)
     @pytest.mark.parametrize("bad", ["no", 1, 0, None])
@@ -125,7 +165,7 @@ class TestDescriptorConstruction:
         for d in one_of_each_kind():
             slots = dict(zip(SpaceDescriptor.__slots__, d._slot_values(d)))
             assert SpaceDescriptor(**slots) == d
-            for slot in payload - {attr for attr, _ in SpaceDescriptor.FIELDS[d.kind][1]}:
+            for slot in payload - {field.attr for field in SpaceDescriptor.KINDS[d.kind][1]}:
                 with pytest.raises(ValueError, match=rf"a {d.kind} space has no {slot}, got \(1,\)"):
                     SpaceDescriptor(**{**slots, slot: (1,)})
 
@@ -146,6 +186,45 @@ class TestDescriptorConstruction:
                                 right_group=GroupDescriptor.gl(2))
         assert built == SpaceDescriptor.cotangent_of_rep(dims=(1, 2))
         assert built.rep_dims == (1, 2)
+        for d in one_of_each_kind():
+            slots = dict(zip(SpaceDescriptor.__slots__, d._slot_values(d)))
+            for slot in SpaceDescriptor.PAYLOAD:
+                if slots[slot] not in (None, ()):
+                    with pytest.raises(ValueError, match=f"^{slot} must be"):
+                        SpaceDescriptor(**{**slots, slot: "x"})
+
+    def test_the_raw_constructor_checks_theory_and_factors(self):
+        # Unchecked, both would build, and str() and to_json() would raise AttributeError.
+        with pytest.raises(ValueError, match=re.escape("factors must be spaces, got (5,)")):
+            SpaceDescriptor("product", 0, factors=(5,))
+        with pytest.raises(ValueError, match="theory must be a torus theory, got 5"):
+            SpaceDescriptor("coulomb_branch", 2, theory=5)
+        with pytest.raises(ValueError, match="theory must be a torus theory, got 'T'"):
+            SpaceDescriptor("cotangent_of_rep", 2, theory="T")
+        with pytest.raises(ValueError, match="factors must be spaces, got"):
+            SpaceDescriptor("product", 0, factors=(SpaceDescriptor.point(), GroupDescriptor.gl(1)))
+
+    def test_the_raw_constructor_refuses_a_missing_required_slot(self):
+        # Unrefused, a group_times_slice without its group renders as "None x SliceNone".
+        with pytest.raises(ValueError, match="^a group_times_slice space requires group$"):
+            SpaceDescriptor("group_times_slice", 4)
+        required = {  # per kind, the slots its documents must carry (factors and dim are never None)
+            "cotangent_of_group": ("group",),
+            "group_times_slice": ("group", "partition"),
+            "orbit_closure": ("partition", "size"),
+            "type_A_singularity": ("index",),
+            "torus_cotangent": ("size",),
+            "coulomb_branch": ("theory",),
+        }
+        for d in one_of_each_kind():
+            slots = dict(zip(SpaceDescriptor.__slots__, d._slot_values(d)))
+            for slot in required.get(d.kind, ()):
+                with pytest.raises(ValueError, match=f"^a {d.kind} space requires {slot}$"):
+                    SpaceDescriptor(**{**slots, slot: None})
+        # The slots a document may leave out may be None.
+        oc = SpaceDescriptor.orbit_closure(4, [3, 1])
+        assert SpaceDescriptor("orbit_closure", oc.dim, partition=oc.partition, size=4).group is None
+        assert SpaceDescriptor("cotangent_of_rep", 0).rep_dims is None
 
     @pytest.mark.parametrize("side", ["left_group", "right_group"])
     def test_a_document_group_is_read_as_before(self, side):
