@@ -27,27 +27,28 @@ _SWAP = str.maketrans(NS5 + D5, D5 + NS5)
 
 
 class BraneDiagram(Value):
-    """Alternating word of fivebranes with one dimension label per segment."""
+    """A word of fivebranes, a string of ``o`` and ``x``, with one dimension label per segment."""
 
     __slots__ = ("branes", "dims")
 
     def __init__(self, branes: Iterable[str], dims: Iterable[int]):
-        self.branes = tuple(branes)
+        symbols = tuple(branes)
         self.dims = strict_int_tuple(dims, "segment dimension")
         try:
-            known = _SYMBOLS.issuperset(self.branes)
+            known = _SYMBOLS.issuperset(symbols)
         except TypeError:  # an unhashable symbol is not a brane either
             known = False
         if not known:
             raise ValueError(f"brane symbols must be '{NS5}' or '{D5}'")
-        if len(self.dims) != len(self.branes) + 1:
+        if len(self.dims) != len(symbols) + 1:
             raise ValueError("need exactly one more dimension label than branes")
         if min(self.dims) < 0:
             raise ValueError("segment dimensions must be nonnegative")
+        self.branes = "".join(symbols)
 
     @classmethod
-    def _trusted(cls, branes: tuple[str, ...], dims: tuple[int, ...]) -> "BraneDiagram":
-        """Wrap tuples that already pass every check of ``__init__``. Internal results only."""
+    def _trusted(cls, branes: str, dims: tuple[int, ...]) -> "BraneDiagram":
+        """Wrap a word and dims that pass every check of ``__init__``. Internal results only."""
         d = object.__new__(cls)
         d.branes = branes
         d.dims = dims
@@ -114,22 +115,17 @@ def quiver_to_diagram(q: QuiverData) -> BraneDiagram:
     One ``o`` opens each node, followed by w_i copies of ``x`` at constant
     segment dimension v_i, and a final ``o`` closes the diagram back to 0.
     """
-    branes: list[str] = []
     dims: list[int] = [0]
     for v, w in zip(q.gauge, q.framing):
-        branes.append(NS5)
-        dims.append(v)
-        branes.extend([D5] * w)
-        dims.extend([v] * w)
-    branes.append(NS5)
+        dims.extend([v] * (w + 1))
     dims.append(0)
-    return BraneDiagram._trusted(tuple(branes), tuple(dims))
+    branes = "".join(NS5 + D5 * w for w in q.framing) + NS5
+    return BraneDiagram._trusted(branes, tuple(dims))
 
 
 def sdual(d: BraneDiagram) -> BraneDiagram:
     """Exchange the two fivebrane types, keeping all segment dimensions."""
-    # tuple() of a str is sized from its length; a map or generator has no length hint
-    return BraneDiagram._trusted(tuple("".join(d.branes).translate(_SWAP)), d.dims)
+    return BraneDiagram._trusted(d.branes.translate(_SWAP), d.dims)
 
 
 def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
@@ -150,7 +146,7 @@ def hw_move(d: BraneDiagram, i: int) -> BraneDiagram:
         raise UnsupportedInputError(
             f"transition at {i} would give segment dimension {new_mid}"
         )
-    branes = d.branes[:i] + (d.branes[i + 1], d.branes[i]) + d.branes[i + 2 :]
+    branes = d.branes[:i] + d.branes[i + 1] + d.branes[i] + d.branes[i + 2 :]
     return BraneDiagram._trusted(branes, d.dims[: i + 1] + (new_mid,) + d.dims[i + 2 :])
 
 
@@ -205,7 +201,7 @@ def expected_space(d: BraneDiagram) -> spaces.SpaceDescriptor:
         if d.branes[0] == NS5:
             return spaces.SpaceDescriptor.m_circle(vi, vj)
         return spaces.SpaceDescriptor.m_cross(vi, vj)
-    if d.branes and all(b == NS5 for b in d.branes):
+    if d.branes and d.branes.count(NS5) == len(d.branes):
         if d.dims[0] != 0:
             raise UnsupportedInputError("all-o chains must start at dimension 0")
         lam = chain_to_orbit(d.dims)

@@ -200,8 +200,9 @@ class SpaceDescriptor(Value):
     # Per kind: the public constructor that rebuilds it from its document, and
     # its payload fields; every kind also carries dim, left_group, right_group
     # and the FLAGS. __init__, _payload, to_json and from_json read a kind's
-    # payload here only. An orbit closure's group follows from n, and the
-    # cotangent_of_rep constructor takes exactly one of dims / theory.
+    # payload here only. An orbit closure's partition is one of n, and its group
+    # gl(n), filled in where a document leaves it out; a cotangent_of_rep has
+    # exactly one of dims / theory.
     KINDS = {
         "point": ("point", ()),
         "cotangent_of_rep": ("cotangent_of_rep", (_REP_DIMS, _THEORY._replace(optional=True))),
@@ -259,6 +260,14 @@ class SpaceDescriptor(Value):
         for attr, value in lacks.items():
             if value not in (None, ()):
                 raise ValueError(f"a {kind} space has no {attr}, got {value!r}")
+        if kind == "orbit_closure":
+            if partition.n != size:
+                raise ValueError(f"{partition} is not a partition of {size}")
+            payload["group"] = gl = GroupDescriptor.gl(size)
+            if group not in (None, gl):
+                raise ValueError(f"the orbit closure of {partition} has group GL({size}), not {group}")
+        elif kind == "cotangent_of_rep" and (rep_dims is None) == (theory is None):
+            raise ValueError("exactly one of dims / theory is required")
         self.group, self.partition, self.size, self.index, self.rep_dims, self.theory, self.factors = (
             payload.values()
         )
@@ -354,22 +363,17 @@ class SpaceDescriptor(Value):
         """The closure of the orbit of Jordan type ``partition`` in gl(n); ``group``,
         if given, must be gl(n), checked even where the closure is the point."""
         lam = partition if isinstance(partition, Partition) else Partition(partition)
-        if lam.n != n:
-            raise ValueError(f"{lam} is not a partition of {n}")
-        if group is not None and group != GroupDescriptor.gl(n):
-            raise ValueError(f"the orbit closure of {lam} has group GL({n}), not {group}")
-        left = left_group if left_group is not None else GroupDescriptor.gl(n)
-        if len(lam) == n:
-            return cls.point(left, right_group=right_group)
-        return cls(
+        left = left_group if left_group is not None else GroupDescriptor.gl(lam.n)
+        closure = cls(  # built for the point too, which checks its partition and group
             "orbit_closure",
             orbit_dim(lam),
             left_group=left,
             right_group=right_group,
-            group=GroupDescriptor.gl(n),
+            group=group,
             partition=lam,
             size=n,
         )
+        return cls.point(left, right_group=right_group) if len(lam) == n else closure
 
     @classmethod
     def type_a_singularity(

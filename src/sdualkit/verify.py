@@ -335,10 +335,10 @@ def check_brane_hw_properties(rng: random.Random) -> tuple[bool, str]:
     return True, f"{len(corpus)} diagrams: involution, linking invariance, duality compatibility"
 
 
-def _dual_word(framing) -> tuple[str, ...]:
+def _dual_word(framing) -> str:
     """Brane word of the dual pattern, built directly: x opens each node, and
     o repeats once per framing rank. It depends on the framing alone."""
-    return sum(((brane.NS5,) * w + (brane.D5,) for w in framing), (brane.D5,))
+    return brane.D5 + "".join(brane.NS5 * w + brane.D5 for w in framing)
 
 
 def _dual_dims(gauge, framing) -> tuple[int, ...]:
@@ -347,7 +347,7 @@ def _dual_dims(gauge, framing) -> tuple[int, ...]:
     return sum(((v,) * (w + 1) for v, w in zip(gauge, framing)), (0,)) + (0,)
 
 
-def _is_dual_pattern(d, word: tuple[str, ...], dims: tuple[int, ...]) -> bool:
+def _is_dual_pattern(d, word: str, dims: tuple[int, ...]) -> bool:
     return type(d) is brane.BraneDiagram and d.branes == word and d.dims == dims
 
 
@@ -419,7 +419,7 @@ def check_sdual_compose_dims(rng: random.Random) -> tuple[bool, str]:
             dims.append(dims[-1] + delta)
         if dims[-1] == 0 or dims[-1] > 8:
             continue
-        chain = brane.BraneDiagram([brane.NS5] * n_steps, dims)
+        chain = brane.BraneDiagram(brane.NS5 * n_steps, dims)
         lhs = spaces.sdual_pair(brane.expected_space(chain))
         acc = spaces.SpaceDescriptor.m_cross(dims[0], dims[1])
         for i in range(1, n_steps):

@@ -52,6 +52,8 @@ class TestDiagramBasics:
             ((["z"], [0, 0]), "brane symbols must be 'o' or 'x'"),
             (([["o"]], [0, 0]), "brane symbols must be 'o' or 'x'"),
             ((["z"], [0]), "brane symbols must be 'o' or 'x'"),
+            ((["ox"], [0, 0]), "brane symbols must be 'o' or 'x'"),
+            ((["o", ""], [0, 0, 0]), "brane symbols must be 'o' or 'x'"),
             ((["o"], [0]), "need exactly one more dimension label than branes"),
             (([], []), "need exactly one more dimension label than branes"),
             ((["o"], [0, -1]), "segment dimensions must be nonnegative"),
@@ -71,7 +73,7 @@ class TestInternalResults:
         rebuilt = BraneDiagram(list(d.branes), list(d.dims))
         assert d == rebuilt
         assert hash(d) == hash(rebuilt)
-        assert type(d.branes) is tuple and type(d.dims) is tuple
+        assert type(d.branes) is str and type(d.dims) is tuple
         assert all(type(x) is int for x in d.dims)
 
     def test_moves_give_valid_diagrams(self):
@@ -98,17 +100,17 @@ class TestInternalResults:
 class TestQuiverToDiagram:
     def test_single_node_two_flavors(self):
         d = quiver_to_diagram(QuiverData([1], [2]))
-        assert d.branes == ("o", "x", "x", "o")
+        assert d.branes == "oxxo"
         assert d.dims == (0, 1, 1, 1, 0)
 
     def test_no_framing(self):
         d = quiver_to_diagram(QuiverData([1], [0]))
-        assert d.branes == ("o", "o")
+        assert d.branes == "oo"
         assert d.dims == (0, 1, 0)
 
     def test_two_nodes(self):
         d = quiver_to_diagram(QuiverData([1, 2], [0, 3]))
-        assert d.branes == ("o", "o", "x", "x", "x", "o")
+        assert d.branes == "ooxxxo"
         assert d.dims == (0, 1, 2, 2, 2, 2, 0)
 
     def test_malformed_quivers(self):
@@ -168,13 +170,13 @@ class TestHananyWitten:
     def test_local_rule(self):
         d = BraneDiagram(["o", "x"], [0, 1, 1])
         moved = hw_move(d, 0)
-        assert moved.branes == ("x", "o")
+        assert moved.branes == "xo"
         assert moved.dims == (0, 1, 1)
 
     def test_second_example(self):
         d = BraneDiagram(["x", "o"], [1, 2, 2])
         moved = hw_move(d, 0)
-        assert moved.branes == ("o", "x")
+        assert moved.branes == "ox"
         assert moved.dims == (1, 2, 2)
 
     def test_involution(self):
@@ -250,7 +252,7 @@ class TestConcat:
             concat(d1, d2)
         d3 = BraneDiagram(["x"], [1, 0])
         joined = concat(d1, d3)
-        assert joined.branes == ("o", "x")
+        assert joined.branes == "ox"
         assert joined.dims == (0, 1, 0)
 
 

@@ -3,6 +3,8 @@ import builtins
 import io
 import json
 import pathlib
+import tracemalloc
+import types
 
 import pytest
 
@@ -471,6 +473,21 @@ class TestRepl:
         first = self.run_transcript("0 o 1 x 1 x 1 o 0", script)
         second = self.run_transcript("0 o 1 x 1 x 1 o 0", script)
         assert first == second
+
+    def test_history_keeps_a_word_per_sdual_line(self):
+        # Each sdual line keeps one diagram: a 6,000-symbol word as text is
+        # about 6 KiB, as a tuple of one-character strings about 47 KiB. Showing
+        # the diagram after each line takes about 440 KiB more for a moment.
+        initial = BraneDiagram.parse("0" + " x 0" * cli.MAX_BRANES)
+        lines = ["sdual\n"] * 200
+        discard = types.SimpleNamespace(write=len)  # the output is rendered, then dropped
+        tracemalloc.start()
+        try:
+            cli.run_repl(initial, lines, discard)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(lines) * 16 * 1024
 
 
 class TestExitCodes:

@@ -223,8 +223,34 @@ class TestDescriptorConstruction:
                     SpaceDescriptor(**{**slots, slot: None})
         # The slots a document may leave out may be None.
         oc = SpaceDescriptor.orbit_closure(4, [3, 1])
-        assert SpaceDescriptor("orbit_closure", oc.dim, partition=oc.partition, size=4).group is None
-        assert SpaceDescriptor("cotangent_of_rep", 0).rep_dims is None
+        assert SpaceDescriptor("orbit_closure", oc.dim, oc.left_group, partition=oc.partition, size=4) == oc
+        theory = TorusTheory(1, [[1]])
+        assert SpaceDescriptor("cotangent_of_rep", 2, theory=theory).rep_dims is None
+
+    def test_the_raw_constructor_fills_in_or_refuses_an_orbit_closure_group(self):
+        # Unfilled, the group would make sdual_pair raise AttributeError and a
+        # document round trip fill in GL(4). Unchecked, a wrong group or
+        # partition would build, and from_json refuse the descriptor's own document.
+        built = SpaceDescriptor("orbit_closure", 10, partition=Partition([3, 1]), size=4)
+        assert built.group == GroupDescriptor.gl(4)
+        assert SpaceDescriptor.from_json(built.to_json()) == built
+        with pytest.raises(UnsupportedInputError, match="no dual of this orbit_closure keeps its acting groups"):
+            sdual_pair(built)  # its left group is trivial, not GL(4)
+        acted_on = SpaceDescriptor("orbit_closure", 10, GroupDescriptor.gl(4), partition=Partition([3, 1]),
+                                   size=4)
+        assert sdual_pair(acted_on) == sdual_pair(SpaceDescriptor.orbit_closure(4, [3, 1]))
+        with pytest.raises(ValueError, match=re.escape("the orbit closure of [3,1] has group GL(4), not GL(7)")):
+            SpaceDescriptor("orbit_closure", 10, partition=Partition([3, 1]), size=4,
+                            group=GroupDescriptor.gl(7))
+        with pytest.raises(ValueError, match=re.escape("[2,1] is not a partition of 4")):
+            SpaceDescriptor("orbit_closure", 4, partition=Partition([2, 1]), size=4)
+
+    def test_the_raw_constructor_takes_exactly_one_of_rep_dims_and_theory(self):
+        # Unrefused, neither would make str() raise AttributeError and sdual_pair TypeError.
+        theory = TorusTheory(1, [[1]])
+        for payload in ({}, {"rep_dims": (1, 1), "theory": theory}):
+            with pytest.raises(ValueError, match="^exactly one of dims / theory is required$"):
+                SpaceDescriptor("cotangent_of_rep", 2, **payload)
 
     @pytest.mark.parametrize("side", ["left_group", "right_group"])
     def test_a_document_group_is_read_as_before(self, side):
