@@ -242,6 +242,25 @@ RIGHT_SIDED_THEORIES = [
     )
 ] + [{"kind": "cotangent_of_rep", "theory": THEORY, "left_group": T1, "right_group": T1}]
 
+# One document of each kind stating a wrong dim (for reduced, whose dim is its
+# payload, a dim that is no integer), and the three documents that read as a
+# point stating the dim of their own kind's rule. They follow RIGHT_SIDED_THEORIES.
+STATED_DIMS = [
+    {"kind": "point", "dim": 1},
+    {"kind": "cotangent_of_rep", "dims": [2, 3], "dim": 10},
+    {"kind": "cotangent_of_rep", "theory": THEORY, "dim": 2},
+    {"kind": "cotangent_of_rep", "dims": [0, 3], "dim": 6},
+    {"kind": "cotangent_of_group", "group": GL3, "dim": 9},
+    {"kind": "group_times_slice", "group": GL3, "partition": [2, 1], "dim": 13},
+    {"kind": "orbit_closure", "n": 3, "partition": [1, 1, 1], "dim": 2},
+    {"kind": "type_A_singularity", "index": 2, "dim": 5},
+    {"kind": "torus_cotangent", "rank": 0, "dim": 2},
+    {"kind": "torus_cotangent", "rank": 2, "dim": 2},
+    {"kind": "product", "factors": [{"kind": "point"}, {"kind": "torus_cotangent", "rank": 1}], "dim": 4},
+    {"kind": "coulomb_branch", "theory": THEORY, "dim": 4},
+    {"kind": "reduced", "dim": "4"},
+]
+
 DIAGRAMS = [
     "0 o 1 x 1 x 1 o 0",
     "0 x 1 o 1 o 1 x 0",
@@ -435,6 +454,7 @@ def cases() -> list[tuple]:
     out += [(argv, stdin, None) for argv, stdin in _bound_cases()]
     for descriptor in RIGHT_SIDED + RIGHT_SIDED_THEORIES:
         out += [(argv, stdin, None) for argv, stdin in _both(["dual", "-"], _doc(descriptor))]
+    out += [(["dual", "-"], _doc(descriptor), None) for descriptor in STATED_DIMS]
     return out
 
 
