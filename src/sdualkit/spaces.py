@@ -194,28 +194,44 @@ class SpaceDescriptor(Value):
     ``left_group`` / ``right_group`` record the two-sided action (either may
     be trivial); ``group`` is the carrier group of kinds that contain a group
     factor. ``dim`` is the complex dimension, expected dimension only when
-    ``possibly_singular`` is set.
+    ``possibly_singular`` is set. It is derived from the kind and payload;
+    only a ``reduced`` space states its own.
     """
 
-    # Per kind: the public constructor that rebuilds it from its document, and
-    # its payload fields; every kind also carries dim, left_group, right_group
-    # and the FLAGS. __init__, _payload, to_json and from_json read a kind's
-    # payload here only. An orbit closure's partition is one of n, and its group
-    # gl(n), filled in where a document leaves it out; a cotangent_of_rep has
-    # exactly one of dims / theory.
+    # Per kind: the public constructor that rebuilds it from its document, its
+    # payload fields, and its dimension as a rule on the built descriptor; every
+    # kind also carries dim, left_group, right_group and the FLAGS. __init__,
+    # _payload, to_json and from_json read a kind's payload here only, and
+    # __init__ computes every dimension here only: reduced has no rule, its dim
+    # being its one payload field. An orbit closure's partition is one of n, and
+    # its group gl(n), filled in where a document leaves it out; a
+    # cotangent_of_rep has exactly one of dims / theory.
     KINDS = {
-        "point": ("point", ()),
-        "cotangent_of_rep": ("cotangent_of_rep", (_REP_DIMS, _THEORY._replace(optional=True))),
-        "cotangent_of_group": ("cotangent_of_group", (_GROUP,)),
-        "group_times_slice": ("group_times_slice", (_GROUP, _PARTITION)),
-        "orbit_closure": (
-            "orbit_closure", (_GROUP._replace(optional=True), _PARTITION, _int_field("size", "n"))
+        "point": ("point", (), lambda m: 0),
+        "cotangent_of_rep": (
+            "cotangent_of_rep",
+            (_REP_DIMS, _THEORY._replace(optional=True)),
+            lambda m: 2 * (
+                m.rep_dims[0] * m.rep_dims[1] if m.theory is None
+                else len(m.theory.linear_weights + m.theory.multiplicative_weights)
+            ),
         ),
-        "type_A_singularity": ("type_a_singularity", (_int_field("index", "index"),)),
-        "torus_cotangent": ("torus_cotangent", (_int_field("size", "rank"),)),
-        "product": ("product_space", (_FACTORS,)),
-        "coulomb_branch": ("coulomb_branch", (_THEORY,)),
-        "reduced": ("reduced", (_int_field("dim", "dim"),)),
+        "cotangent_of_group": ("cotangent_of_group", (_GROUP,), lambda m: 2 * m.group.dim),
+        "group_times_slice": (
+            "group_times_slice",
+            (_GROUP, _PARTITION),
+            lambda m: m.group.dim + centralizer_dim(m.partition),
+        ),
+        "orbit_closure": (
+            "orbit_closure",
+            (_GROUP._replace(optional=True), _PARTITION, _int_field("size", "n")),
+            lambda m: orbit_dim(m.partition),
+        ),
+        "type_A_singularity": ("type_a_singularity", (_int_field("index", "index"),), lambda m: 2),
+        "torus_cotangent": ("torus_cotangent", (_int_field("size", "rank"),), lambda m: 2 * m.size),
+        "product": ("product_space", (_FACTORS,), lambda m: sum(f.dim for f in m.factors)),
+        "coulomb_branch": ("coulomb_branch", (_THEORY,), lambda m: 2 * m.theory.rank),
+        "reduced": ("reduced", (_int_field("dim", "dim"),), None),
     }
     FLAGS = ("conjecture", "possibly_singular")
     PAYLOAD = ("group", "partition", "size", "index", "rep_dims", "theory", "factors")
@@ -225,7 +241,7 @@ class SpaceDescriptor(Value):
     def __init__(
         self,
         kind: str,
-        dim: int,
+        dim: int | None = None,
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
         group: GroupDescriptor | None = None,
@@ -241,7 +257,9 @@ class SpaceDescriptor(Value):
         if kind not in self.KINDS:
             raise ValueError(f"unknown space kind {kind!r}")
         self.kind = kind
-        self.dim = strict_int(dim, "dimension")
+        fields, rule = self.KINDS[kind][1:]
+        if dim is not None or rule is None:  # every kind may state its dim, reduced must
+            strict_int(dim, "dimension")
         for side, value in (("left_group", left_group), ("right_group", right_group)):
             if not isinstance(value, GroupDescriptor):
                 raise ValueError(f"{side} must be a group, got {value!r}")
@@ -251,7 +269,7 @@ class SpaceDescriptor(Value):
             zip(self.PAYLOAD, (group, partition, size, index, rep_dims, theory, tuple(factors)))
         )
         lacks = payload.copy()  # the slots outside the kind's fields, once these are popped
-        for attr, _, optional, check, _, _ in self.KINDS[kind][1]:
+        for attr, _, optional, check, _, _ in fields:
             value = lacks.pop(attr, None)
             if value is not None:
                 payload[attr] = check(value, attr)
@@ -271,13 +289,14 @@ class SpaceDescriptor(Value):
         self.group, self.partition, self.size, self.index, self.rep_dims, self.theory, self.factors = (
             payload.values()
         )
-        if kind == "point" and self.dim:
-            raise ValueError(f"a point space has dimension 0, got {self.dim}")
         for flag, value in zip(self.FLAGS, (conjecture, possibly_singular)):
             if type(value) is not bool:
                 raise ValueError(f"{flag} must be true or false, got {value!r}")
         self.conjecture = conjecture
         self.possibly_singular = possibly_singular
+        self.dim = dim if rule is None else rule(self)
+        if dim not in (None, self.dim):
+            raise ValueError(f"stated dim {dim!r} differs from dim {self.dim} of this {kind}")
 
     # ---- constructors -------------------------------------------------
 
@@ -285,7 +304,7 @@ class SpaceDescriptor(Value):
     def point(
         cls, left_group: GroupDescriptor = _TRIVIAL, right_group: GroupDescriptor = _TRIVIAL
     ) -> "SpaceDescriptor":
-        return cls("point", 0, left_group=left_group, right_group=right_group)
+        return cls("point", left_group=left_group, right_group=right_group)
 
     @classmethod
     def torus_cotangent(
@@ -298,9 +317,7 @@ class SpaceDescriptor(Value):
         left = left_group if left_group is not None else torus
         if rank == 0:
             return cls.point(left, right_group=right_group)
-        return cls(
-            "torus_cotangent", 2 * rank, left_group=left, right_group=right_group, size=rank
-        )
+        return cls("torus_cotangent", left_group=left, right_group=right_group, size=rank)
 
     @classmethod
     def cotangent_of_group(
@@ -314,13 +331,7 @@ class SpaceDescriptor(Value):
         if group.kind != "gl":
             raise ValueError("cotangent_of_group supports torus and gl groups")
         left = left_group if left_group is not None else group
-        return cls(
-            "cotangent_of_group",
-            2 * group.dim,
-            left_group=left,
-            right_group=right_group,
-            group=group,
-        )
+        return cls("cotangent_of_group", left_group=left, right_group=right_group, group=group)
 
     @classmethod
     def group_times_slice(
@@ -343,12 +354,7 @@ class SpaceDescriptor(Value):
             # The slice through the zero nilpotent is all of gl_n.
             return cls.cotangent_of_group(group, left_group=left, right_group=right_group)
         return cls(
-            "group_times_slice",
-            group.dim + centralizer_dim(lam),
-            left_group=left,
-            right_group=right_group,
-            group=group,
-            partition=lam,
+            "group_times_slice", left_group=left, right_group=right_group, group=group, partition=lam
         )
 
     @classmethod
@@ -365,13 +371,7 @@ class SpaceDescriptor(Value):
         lam = partition if isinstance(partition, Partition) else Partition(partition)
         left = left_group if left_group is not None else GroupDescriptor.gl(lam.n)
         closure = cls(  # built for the point too, which checks its partition and group
-            "orbit_closure",
-            orbit_dim(lam),
-            left_group=left,
-            right_group=right_group,
-            group=group,
-            partition=lam,
-            size=n,
+            "orbit_closure", left_group=left, right_group=right_group, group=group, partition=lam, size=n
         )
         return cls.point(left, right_group=right_group) if len(lam) == n else closure
 
@@ -384,9 +384,7 @@ class SpaceDescriptor(Value):
     ) -> "SpaceDescriptor":
         if strict_int(index, "type A index") < 1:
             raise ValueError("type A index must be at least 1")
-        return cls(
-            "type_A_singularity", 2, left_group=left_group, right_group=right_group, index=index
-        )
+        return cls("type_A_singularity", left_group=left_group, right_group=right_group, index=index)
 
     @classmethod
     def cotangent_of_rep(
@@ -400,14 +398,8 @@ class SpaceDescriptor(Value):
             raise ValueError("exactly one of dims / theory is required")
         if theory is not None:
             left = left_group if left_group is not None else GroupDescriptor.torus(theory.rank)
-            matter = len(theory.linear_weights) + len(theory.multiplicative_weights)
-            return cls(
-                "cotangent_of_rep",
-                2 * matter,
-                left_group=left,
-                right_group=right_group if right_group is not None else _TRIVIAL,
-                theory=theory,
-            )
+            right = right_group if right_group is not None else _TRIVIAL
+            return cls("cotangent_of_rep", left_group=left, right_group=right, theory=theory)
         vi, vj = strict_int_tuple(dims, "rep dimension")
         if vi < 0 or vj < 0:
             raise ValueError("rep dimensions must be nonnegative")
@@ -415,9 +407,7 @@ class SpaceDescriptor(Value):
         right = right_group if right_group is not None else GroupDescriptor.gl(vj)
         if vi * vj == 0:
             return cls.point(left, right_group=right)
-        return cls(
-            "cotangent_of_rep", 2 * vi * vj, left_group=left, right_group=right, rep_dims=(vi, vj)
-        )
+        return cls("cotangent_of_rep", left_group=left, right_group=right, rep_dims=(vi, vj))
 
     @classmethod
     def coulomb_branch(
@@ -427,13 +417,7 @@ class SpaceDescriptor(Value):
         right_group: GroupDescriptor = _TRIVIAL,
     ) -> "SpaceDescriptor":
         left = left_group if left_group is not None else GroupDescriptor.torus(theory.rank)
-        return cls(
-            "coulomb_branch",
-            2 * theory.rank,
-            left_group=left,
-            right_group=right_group,
-            theory=theory,
-        )
+        return cls("coulomb_branch", left_group=left, right_group=right_group, theory=theory)
 
     @classmethod
     def product_space(
@@ -442,14 +426,7 @@ class SpaceDescriptor(Value):
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
     ) -> "SpaceDescriptor":
-        factors = tuple(factors)
-        return cls(
-            "product",
-            sum(f.dim for f in factors),
-            left_group=left_group,
-            right_group=right_group,
-            factors=factors,
-        )
+        return cls("product", left_group=left_group, right_group=right_group, factors=factors)
 
     @classmethod
     def reduced(
@@ -542,7 +519,7 @@ class SpaceDescriptor(Value):
     @classmethod
     def from_json(cls, data: dict) -> "SpaceDescriptor":
         kind = _kind(data, "space", cls.KINDS)
-        constructor, fields = cls.KINDS[kind]
+        constructor, fields, _ = cls.KINDS[kind]
         required = ["kind"] + [f.key for f in fields if not f.optional]
         common = ["dim", "left_group", "right_group", *cls.FLAGS]
         strict_object(data, kind, required, [f.key for f in fields] + common)
@@ -597,7 +574,7 @@ def _is_m_cross(m: SpaceDescriptor) -> tuple[int, int] | None:
     if not all(g.kind == "gl" or g.is_trivial for g in (left, right)):
         return None
     block = SpaceDescriptor.m_cross(left.size, right.size)
-    if (m.kind, m.dim, m._payload()) != (block.kind, block.dim, block._payload()):
+    if (m.kind, m._payload()) != (block.kind, block._payload()):
         return None
     return left.size, right.size
 

@@ -170,7 +170,7 @@ class TestDescriptorConstruction:
                     SpaceDescriptor(**{**slots, slot: (1,)})
 
     def test_the_raw_constructor_checks_the_slots_its_kind_has(self):
-        with pytest.raises(ValueError, match="a point space has dimension 0, got 5"):
+        with pytest.raises(ValueError, match="^stated dim 5 differs from dim 0 of this point$"):
             SpaceDescriptor("point", 5)
         with pytest.raises(ValueError, match="size must be an integer, got 'a'"):
             SpaceDescriptor("torus_cotangent", 2, size="a")
@@ -192,6 +192,22 @@ class TestDescriptorConstruction:
                 if slots[slot] not in (None, ()):
                     with pytest.raises(ValueError, match=f"^{slot} must be"):
                         SpaceDescriptor(**{**slots, slot: "x"})
+
+    def test_the_raw_constructor_derives_the_dimension(self):
+        # Unchecked, each would render its stated dim, and from_json refuse its own document.
+        with pytest.raises(ValueError, match="^stated dim 5 differs from dim 2 of this type_A_singularity$"):
+            SpaceDescriptor("type_A_singularity", 5, index=2)
+        with pytest.raises(ValueError, match="^stated dim 7 differs from dim 10 of this orbit_closure$"):
+            SpaceDescriptor("orbit_closure", 7, partition=Partition([3, 1]), size=4)
+        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.0$"):
+            SpaceDescriptor("type_A_singularity", 2.0, index=2)
+        with pytest.raises(ValueError, match="^dimension must be an integer, got None$"):
+            SpaceDescriptor("reduced")  # the one kind that states its dim
+        for d in one_of_each_kind():
+            slots = dict(zip(SpaceDescriptor.__slots__, d._slot_values(d)))
+            if d.kind != "reduced":
+                del slots["dim"]
+            assert SpaceDescriptor(**slots) == d
 
     def test_the_raw_constructor_checks_theory_and_factors(self):
         # Unchecked, both would build, and str() and to_json() would raise AttributeError.
