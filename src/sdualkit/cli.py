@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from collections import deque
 
 from . import brane, spaces
 from .abelian_coulomb import (
@@ -38,21 +39,28 @@ MAX_N = 7_000  # a partition's total, and every integer of a dual document but i
 MAX_CHAIN = 30  # the steps, and every entry, of an orbit chain
 MAX_BRANES = 6_000  # the branes of a diagram
 MAX_RANK = 16  # the rank of a theory
+MAX_WEIGHTS = 40_000  # a theory's weight vectors, linear and multiplicative
 MAX_WEIGHT = 1_024  # a theory's weight size, and a table's largest degree; see BOUNDS
 MAX_TABLE_TERMS = 40_000  # see BOUNDS
+MAX_TABLE_TESTS = 500_000  # see BOUNDS
+MAX_TABLE_PAIRINGS = 5_000_000  # see BOUNDS
+MAX_UNDO = 1_000  # the repl moves that undo can take back; older ones are dropped
 
 BOUNDS = (
     "Bounds (a valid input above one exits 3): "
     f"the digits of every integer read, {MAX_DIGITS}; "
     f"a partition's total, {MAX_N}; every integer of a dual document but its dims, {MAX_N}; "
     f"the steps and the entries of an orbit chain, {MAX_CHAIN}; the branes of a diagram, "
-    f"{MAX_BRANES}; the rank of a theory, {MAX_RANK}; the weight size of a theory presented "
+    f"{MAX_BRANES}; the rank of a theory, {MAX_RANK}; its weight vectors, linear and "
+    f"multiplicative, {MAX_WEIGHTS}; the weight size of a theory presented "
     "or dualized (the sum of the absolute values of its weights' entries), also after "
     f"multiplicative reduction, {MAX_WEIGHT}; for --table, the cutoff times the weight size "
     f"of the linear weights, {MAX_WEIGHT}, the cocharacters within the cutoff, "
-    f"{MAX_TABLE_TERMS}, and its terms, {MAX_TABLE_TERMS}, counting each product of two "
-    "cocharacters within the cutoff that annihilate the multiplicative weights as the "
-    "number of monomials of the table's largest degree in rank variables."
+    f"{MAX_TABLE_TERMS}, those times the multiplicative weights, {MAX_TABLE_TESTS}, its "
+    "products, the pairs of cocharacters within the cutoff that annihilate the "
+    f"multiplicative weights, times the linear weights, {MAX_TABLE_PAIRINGS}, and its terms, "
+    f"{MAX_TABLE_TERMS}, counting each product as the number of monomials of the table's "
+    "largest degree in rank variables."
 )
 
 
@@ -65,23 +73,35 @@ def _weight_size(weights) -> int:
     return sum(abs(c) for w in weights for c in w.coeffs)
 
 
-def _check_theory(theory: TorusTheory) -> None:
-    """The bounds on a theory that is presented or dualized through its reduction."""
+def _checked_weights(theory: TorusTheory) -> tuple:
+    """The weight vectors of ``theory``, linear then multiplicative, once its
+    rank and their number are within the bounds on every theory read."""
     _bound("theory rank", theory.rank, MAX_RANK)
     weights = theory.linear_weights + theory.multiplicative_weights
-    _bound("weight size", _weight_size(weights), MAX_WEIGHT)
+    _bound("weight vectors", len(weights), MAX_WEIGHTS)
+    return weights
+
+
+def _check_theory(theory: TorusTheory) -> None:
+    """The bounds on a theory that is presented or dualized through its reduction."""
+    _bound("weight size", _weight_size(_checked_weights(theory)), MAX_WEIGHT)
     reduced, _ = reduce_multiplicative(theory)
     _bound("reduced weight size", _weight_size(reduced.linear_weights), MAX_WEIGHT)
 
 
 def _check_table(theory: TorusTheory, cutoff: int) -> None:
-    rank = theory.rank
-    _bound("theory rank", rank, MAX_RANK)
-    _bound("cochar box", (2 * cutoff + 1) ** rank, MAX_TABLE_TERMS)
+    weights = _checked_weights(theory)
+    rank, linear = theory.rank, len(theory.linear_weights)
+    box = (2 * cutoff + 1) ** rank
+    _bound("cochar box", box, MAX_TABLE_TERMS)
+    # Each cocharacter is tested against each multiplicative weight, and each
+    # product's exponents take one step per linear weight.
+    _bound("cochar box times multiplicative weights", box * (len(weights) - linear), MAX_TABLE_TESTS)
     # r[lam] * r[mu] has degree at most cutoff * sum_j |a_j|_1.
     degree = cutoff * _weight_size(theory.linear_weights)
     _bound("cutoff times linear weight size", degree, MAX_WEIGHT)
     products = sum(map(theory.annihilates_multiplicative, cochar_box(rank, cutoff))) ** 2
+    _bound("products times linear weights", products * linear, MAX_TABLE_PAIRINGS)
     monomials = math.comb(degree + rank - 1, rank - 1) if rank else 1
     _bound("table size", products * monomials, MAX_TABLE_TERMS)
 
@@ -141,7 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("repl", help="interactive diagram manipulation")
+    p = sub.add_parser(
+        "repl",
+        help="interactive diagram manipulation",
+        epilog="Commands, one a line: hw <index>, sdual, linking, dims, undo, quit. undo takes "
+        f"back the last move; the last {MAX_UNDO} moves are kept, and older ones are dropped.",
+    )
     p.add_argument("diagram", help="initial diagram text")
 
     return parser
@@ -287,13 +312,23 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _moved(diagram: brane.BraneDiagram, move: int | None) -> brane.BraneDiagram:
+    """``diagram`` after the move at index ``move``, or its S-dual for None."""
+    return brane.sdual(diagram) if move is None else brane.hw_move(diagram, move)
+
+
 def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
-    """Line-command loop over a move history: hw <i>, sdual, linking, dims, undo, quit."""
-    history = [initial]
+    """Line-command loop: hw <i>, sdual, linking, dims, undo, quit.
+
+    Both moves are involutions, so the history keeps the moves, not the
+    diagrams, and undo makes the last move again; it keeps the last MAX_UNDO.
+    """
+    diagram = initial
+    history: deque[int | None] = deque(maxlen=MAX_UNDO)  # hw indices, None for sdual
 
     def show() -> None:
-        out.write(history[-1].render() + "\n")
-        out.write(str(brane.linking_numbers(history[-1])) + "\n")
+        out.write(diagram.render() + "\n")
+        out.write(str(brane.linking_numbers(diagram)) + "\n")
 
     show()
     for line in in_stream:
@@ -304,19 +339,18 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
         if op == "quit":
             break
         try:
-            if op == "hw":
-                if len(tokens) != 2:
+            if op in ("hw", "sdual"):
+                if op == "hw" and len(tokens) != 2:
                     raise ValueError("usage: hw <index>")
-                (index,) = text_ints(tokens[1:], "move index")
-                history.append(brane.hw_move(history[-1], index))
-            elif op == "sdual":
-                history.append(brane.sdual(history[-1]))
+                move = text_ints(tokens[1:], "move index")[0] if op == "hw" else None
+                diagram = _moved(diagram, move)
+                history.append(move)
             elif op == "undo":
-                if len(history) == 1:
+                if not history:
                     raise ValueError("nothing to undo")
-                history.pop()
+                diagram = _moved(diagram, history.pop())
             elif op == "dims":
-                out.write(" ".join(str(d) for d in history[-1].dims) + "\n")
+                out.write(" ".join(str(d) for d in diagram.dims) + "\n")
             elif op == "linking":
                 pass
             else:

@@ -369,6 +369,29 @@ def _bound_cases():
     return cases
 
 
+def _weight_count_cases():
+    """One case at and one above each bound that zero weights reach: they add
+    nothing to a weight size, but each one is a weight vector."""
+    count, tests, pairings = cli.MAX_WEIGHTS, cli.MAX_TABLE_TESTS, cli.MAX_TABLE_PAIRINGS
+    return [
+        # the weight vectors of a theory
+        (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * (count - 1)})),
+        (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * count})),
+        # for --table, the 25^2 cocharacters within cutoff 12 times 800 multiplicative weights
+        (
+            ["coulomb", "--table", "--cutoff", "12", "-"],
+            _doc({"rank": 2, "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)}),
+        ),
+        (
+            ["coulomb", "--table", "--cutoff", "12", "-"],
+            _doc({"rank": 2, "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)}),
+        ),
+        # ... and the 125^2 products within cutoff 62 times 320 linear weights
+        (["coulomb", "--table", "--cutoff", "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625)})),
+        (["coulomb", "--table", "--cutoff", "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625 + 1)})),
+    ]
+
+
 def cases() -> list[tuple]:
     """Every invocation of the corpus, as (argv, stdin, env), in a fixed order."""
     out = []
@@ -455,6 +478,7 @@ def cases() -> list[tuple]:
     for descriptor in RIGHT_SIDED + RIGHT_SIDED_THEORIES:
         out += [(argv, stdin, None) for argv, stdin in _both(["dual", "-"], _doc(descriptor))]
     out += [(["dual", "-"], _doc(descriptor), None) for descriptor in STATED_DIMS]
+    out += [(argv, stdin, None) for argv, stdin in _weight_count_cases()]
     return out
 
 

@@ -3,6 +3,7 @@ import builtins
 import io
 import json
 import pathlib
+import random
 import tracemalloc
 import types
 
@@ -10,7 +11,7 @@ import pytest
 
 from sdualkit import cli
 from sdualkit.abelian_coulomb import TorusTheory, structure_constant_table
-from sdualkit.brane import BraneDiagram
+from sdualkit.brane import BraneDiagram, hw_move, sdual
 from sdualkit.exactalg import UnsupportedInputError
 
 
@@ -356,6 +357,16 @@ class TestBounds:
                 ["coulomb", "--table", "--cutoff", "1", "-"],
                 {"rank": 2, "linear_weights": [[246, 247]]},
             ),
+            # zero weights add nothing to the weight size, but each is a weight vector
+            (["coulomb", "-"], {"rank": 1, "linear_weights": [[0]] * (cli.MAX_WEIGHTS + 1)}),
+            (["dual", "-"], {"rank": 1, "multiplicative_weights": [[0]] * (cli.MAX_WEIGHTS + 1)}),
+            # 199^2 products at cutoff 99, each paired with 1,000 linear weights
+            (["coulomb", "--table", "--cutoff", "99", "-"], {"rank": 1, "linear_weights": [[0]] * 1000}),
+            # 199^2 cocharacters within the cutoff, each tested against 13 weights
+            (
+                ["coulomb", "--table", "--cutoff", "99", "-"],
+                {"rank": 2, "multiplicative_weights": [[1, 0]] * 13},
+            ),
         ],
     )
     def test_just_above_the_bound_exits_3(self, argv, stdin, capsys, monkeypatch):
@@ -385,10 +396,16 @@ class TestBounds:
     def test_help_states_the_bounds(self, capsys):
         assert cli.main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
-        bounds = (cli.MAX_DIGITS, cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT)
+        bounds = (cli.MAX_DIGITS, cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT,
+                  cli.MAX_WEIGHTS, cli.MAX_TABLE_TESTS, cli.MAX_TABLE_PAIRINGS)
         for bound in bounds:
             assert f", {bound}" in out
         assert f"{cli.MAX_TABLE_TERMS}" in out
+
+    def test_repl_help_states_the_undo_bound(self, capsys):
+        assert cli.main(["repl", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"the last {cli.MAX_UNDO} moves are kept, and older ones are dropped" in out
 
 
 class TestVerifyCommand:
@@ -475,9 +492,10 @@ class TestRepl:
         assert first == second
 
     def test_history_keeps_a_word_per_sdual_line(self):
-        # Each sdual line keeps one diagram: a 6,000-symbol word as text is
-        # about 6 KiB, as a tuple of one-character strings about 47 KiB. Showing
-        # the diagram after each line takes about 440 KiB more for a moment.
+        # Each sdual line keeps one move, not the diagram it left: a
+        # 6,000-symbol word as text is about 6 KiB, as a tuple of one-character
+        # strings about 47 KiB. Showing the diagram after each line takes about
+        # 440 KiB more for a moment.
         initial = BraneDiagram.parse("0" + " x 0" * cli.MAX_BRANES)
         lines = ["sdual\n"] * 200
         discard = types.SimpleNamespace(write=len)  # the output is rendered, then dropped
@@ -488,6 +506,44 @@ class TestRepl:
         finally:
             tracemalloc.stop()
         assert peak < len(lines) * 16 * 1024
+
+
+    def test_undo_takes_back_moves_as_a_kept_diagram_history_would(self):
+        # The reference keeps every diagram and pops one per undo.
+        rng = random.Random(7)
+        for _ in range(40):
+            diagrams = [BraneDiagram.parse("0 o 1 x 2 o 2 x 1 o 1 x 0")]
+            commands, want = [], []
+            for _ in range(30):
+                op = rng.choice(["hw", "hw", "sdual", "undo", "undo"])
+                if op == "hw":
+                    index = rng.randrange(-1, len(diagrams[-1].branes))
+                    commands.append(f"hw {index}")
+                    try:
+                        diagrams.append(hw_move(diagrams[-1], index))
+                    except ValueError:
+                        continue
+                elif op == "sdual":
+                    commands.append("sdual")
+                    diagrams.append(sdual(diagrams[-1]))
+                else:
+                    commands.append("undo")
+                    if len(diagrams) == 1:
+                        continue
+                    diagrams.pop()
+                want.append(diagrams[-1].render())
+            lines = self.run_transcript("0 o 1 x 2 o 2 x 1 o 1 x 0", "\n".join(commands) + "\n")
+            shown = [line for line in lines[2:] if not line.startswith(("ns5", "error:"))]
+            assert shown == want
+
+    def test_undo_drops_the_oldest_moves_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_UNDO", 3)
+        lines = self.run_transcript("0 o 1 x 0", "sdual\n" * 5 + "undo\n" * 4)
+        # after 5 moves the diagram is the S-dual; 3 undos are kept, the 4th has nothing
+        assert [line for line in lines if not line.startswith("ns5")] == [
+            "0 o 1 x 0", *["0 x 1 o 0", "0 o 1 x 0"] * 2, "0 x 1 o 0",
+            "0 o 1 x 0", "0 x 1 o 0", "0 o 1 x 0", "error: nothing to undo",
+        ]
 
 
 class TestExitCodes:
