@@ -377,14 +377,17 @@ def _weight_count_cases():
         # the weight vectors of a theory
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * (count - 1)})),
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * count})),
-        # for --table, the 25^2 cocharacters within cutoff 12 times 800 multiplicative weights
+        # for --table, the 25^2 cocharacters within cutoff 12 times 800 multiplicative
+        # weights; the linear weight is not counted
         (
             ["coulomb", "--table", "--cutoff", "12", "-"],
-            _doc({"rank": 2, "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)}),
+            _doc({"rank": 2, "linear_weights": [[0, 0]],
+                  "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)}),
         ),
         (
             ["coulomb", "--table", "--cutoff", "12", "-"],
-            _doc({"rank": 2, "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)}),
+            _doc({"rank": 2, "linear_weights": [[0, 0]],
+                  "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)}),
         ),
         # ... and the 125^2 products within cutoff 62 times 320 linear weights
         (["coulomb", "--table", "--cutoff", "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625)})),

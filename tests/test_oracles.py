@@ -14,6 +14,12 @@
   many as the points of the reduced lattice that reduce_multiplicative's
   basis maps into the box, which holds only if the basis spans the whole
   kernel lattice (a saturated sublattice), not a sublattice of finite index.
+* Dimensions of descriptors: the dual of a torus theory has dimension twice
+  the rank of the torus less the rank of its multiplicative weights, taken
+  in sympy; the centralizer of a nilpotent of Jordan type lam has dimension
+  sum_{i,j} min(lam_i, lam_j) (the commutant of a Jordan matrix), which
+  fixes dim G x Slice[lam] = n^2 + that sum and the orbit closure's
+  n^2 - that sum, with no transpose.
 """
 
 import itertools
@@ -26,9 +32,12 @@ from sdualkit.abelian_coulomb import (
     multiply,
     present_rank1,
     reduce_multiplicative,
+    sdual_torus,
     structure_constant_table,
     structure_factor,
 )
+from sdualkit.partitions import partitions_of
+from sdualkit.spaces import GroupDescriptor, SpaceDescriptor
 
 
 def _symbols(rank):
@@ -237,3 +246,34 @@ class TestMultiplicativeMatter:
             )
             assert _reduced_lattice_count(basis, rank, cutoff) == survivors, (mult, basis)
         assert {1, 2} <= kernel_ranks
+
+
+def _commutant_dim(lam):
+    return sum(min(a, b) for a in lam for b in lam)
+
+
+class TestDescriptorDimensions:
+    def test_a_torus_dual_has_twice_the_effective_rank(self):
+        rng = random.Random("oracles:dimensions")
+        kinds = set()
+        for _ in range(300):
+            rank = rng.randint(2, 4)
+            mult = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rng.randint(0, rank))]
+            theory = TorusTheory(rank, _random_weights(rng, rank), mult)
+            dual = sdual_torus(theory)
+            kinds.add(dual.kind)
+            effective = rank - (sympy.Matrix(mult).rank() if mult else 0)
+            assert dual.dim == 2 * effective, (theory, dual)
+            assert SpaceDescriptor.cotangent_of_rep(theory=theory).dim == 2 * (
+                len(theory.linear_weights) + len(mult)
+            )
+        assert {"coulomb_branch", "torus_cotangent", "type_A_singularity", "cotangent_of_rep"} <= kinds
+
+    def test_slices_and_orbit_closures_count_the_commutant(self):
+        for n in range(7):
+            gl = GroupDescriptor.gl(n)
+            assert SpaceDescriptor.cotangent_of_group(gl).dim == 2 * n * n
+            for lam in partitions_of(n):
+                z = _commutant_dim(lam.parts)
+                assert SpaceDescriptor.group_times_slice(gl, lam).dim == n * n + z, lam
+                assert SpaceDescriptor.orbit_closure(n, lam).dim == n * n - z, lam
