@@ -167,6 +167,13 @@ def _check_factors(factors: tuple, attr: str) -> tuple:
     return factors
 
 
+def _check_pair(value, attr: str) -> tuple:
+    pair = strict_int_tuple(value, attr)
+    if len(pair) != 2:
+        raise ValueError(f"{attr} must be two integers, got {value!r}")
+    return pair
+
+
 # A payload field of a descriptor kind: its slot; its key in the kind's JSON
 # document, also the public constructor's parameter; whether a document may
 # leave it out; check(value, attr), which __init__ applies to a value other
@@ -183,7 +190,7 @@ _GROUP = _Field("group", "group", False, _instance_of(GroupDescriptor, "a group"
 _PARTITION = _Field("partition", "partition", False, _instance_of(Partition, "a partition"),
                     lambda lam: list(lam.parts), lambda parts, key: Partition(strict_ints(parts, key)))
 _THEORY = _Field("theory", "theory", False, _check_theory, lambda t: t.to_json(), _theory_from_json)
-_REP_DIMS = _Field("rep_dims", "dims", True, strict_int_tuple, list, strict_ints)
+_REP_DIMS = _Field("rep_dims", "dims", True, _check_pair, list, strict_ints)
 _FACTORS = _Field("factors", "factors", False, _check_factors, lambda fs: [f.to_json() for f in fs],
                   lambda docs, key: tuple(SpaceDescriptor.from_json(doc) for doc in _list(docs, key)))
 

@@ -243,8 +243,10 @@ RIGHT_SIDED_THEORIES = [
 ] + [{"kind": "cotangent_of_rep", "theory": THEORY, "left_group": T1, "right_group": T1}]
 
 # One document of each kind stating a wrong dim (for reduced, whose dim is its
-# payload, a dim that is no integer), and the three documents that read as a
-# point stating the dim of their own kind's rule. They follow RIGHT_SIDED_THEORIES.
+# payload, a dim that is no integer), among them the three that read as a
+# point: an orbit closure of type 1^n, a torus_cotangent of rank 0 and a
+# cotangent_of_rep with a zero dim. Each message names the document's kind.
+# They follow RIGHT_SIDED_THEORIES.
 STATED_DIMS = [
     {"kind": "point", "dim": 1},
     {"kind": "cotangent_of_rep", "dims": [2, 3], "dim": 10},
@@ -373,25 +375,20 @@ def _weight_count_cases():
     """One case at and one above each bound that zero weights reach: they add
     nothing to a weight size, but each one is a weight vector."""
     count, tests, pairings = cli.MAX_WEIGHTS, cli.MAX_TABLE_TESTS, cli.MAX_TABLE_PAIRINGS
+    table = ["coulomb", "--table", "--cutoff"]
     return [
         # the weight vectors of a theory
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * (count - 1)})),
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * count})),
         # for --table, the 25^2 cocharacters within cutoff 12 times 800 multiplicative
         # weights; the linear weight is not counted
-        (
-            ["coulomb", "--table", "--cutoff", "12", "-"],
-            _doc({"rank": 2, "linear_weights": [[0, 0]],
-                  "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)}),
-        ),
-        (
-            ["coulomb", "--table", "--cutoff", "12", "-"],
-            _doc({"rank": 2, "linear_weights": [[0, 0]],
-                  "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)}),
-        ),
+        ([*table, "12", "-"], _doc({"rank": 2, "linear_weights": [[0, 0]],
+                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)})),
+        ([*table, "12", "-"], _doc({"rank": 2, "linear_weights": [[0, 0]],
+                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)})),
         # ... and the 125^2 products within cutoff 62 times 320 linear weights
-        (["coulomb", "--table", "--cutoff", "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625)})),
-        (["coulomb", "--table", "--cutoff", "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625 + 1)})),
+        ([*table, "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625)})),
+        ([*table, "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625 + 1)})),
     ]
 
 

@@ -507,7 +507,6 @@ class TestRepl:
             tracemalloc.stop()
         assert peak < len(lines) * 16 * 1024
 
-
     def test_undo_takes_back_moves_as_a_kept_diagram_history_would(self):
         # The reference keeps every diagram and pops one per undo.
         rng = random.Random(7)

@@ -182,6 +182,9 @@ class TestDescriptorConstruction:
             SpaceDescriptor("type_A_singularity", 2, index=1.0)
         with pytest.raises(ValueError, match="rep_dims must be an integer, got True"):
             SpaceDescriptor("cotangent_of_rep", 2, rep_dims=(1, True))
+        for rep_dims in ((5,), (1, 2, 3)):  # unchecked, the dimension rule or str() would raise
+            with pytest.raises(ValueError, match=re.escape(f"rep_dims must be two integers, got {rep_dims}")):
+                SpaceDescriptor("cotangent_of_rep", rep_dims=rep_dims)
         built = SpaceDescriptor("cotangent_of_rep", 4, rep_dims=[1, 2], left_group=GroupDescriptor.gl(1),
                                 right_group=GroupDescriptor.gl(2))
         assert built == SpaceDescriptor.cotangent_of_rep(dims=(1, 2))
