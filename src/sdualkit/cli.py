@@ -90,13 +90,14 @@ def _check_theory(theory: TorusTheory) -> None:
 
 
 def _check_table(theory: TorusTheory, cutoff: int) -> None:
-    weights = _checked_weights(theory)
+    _checked_weights(theory)
     rank, linear = theory.rank, len(theory.linear_weights)
     box = (2 * cutoff + 1) ** rank
     _bound("cochar box", box, MAX_TABLE_TERMS)
     # Each cocharacter is tested against each multiplicative weight, and each
     # product's exponents take one step per linear weight.
-    _bound("cochar box times multiplicative weights", box * (len(weights) - linear), MAX_TABLE_TESTS)
+    tests = box * len(theory.multiplicative_weights)
+    _bound("cochar box times multiplicative weights", tests, MAX_TABLE_TESTS)
     # r[lam] * r[mu] has degree at most cutoff * sum_j |a_j|_1.
     degree = cutoff * _weight_size(theory.linear_weights)
     _bound("cutoff times linear weight size", degree, MAX_WEIGHT)
