@@ -120,7 +120,13 @@ class TorusTheory(Value):
 
     def monomial(self, lam: Sequence[int], coeff=1) -> "CoulombElement":
         """The element coeff * r[lam]; zero if lam meets a multiplicative weight."""
-        return CoulombElement(self, {tuple(lam): coeff})
+        if type(coeff) is not int:  # a bool, too, goes to the checking constructor
+            return CoulombElement(self, {tuple(lam): coeff})
+        lam = self._check_cochar(lam)
+        if not coeff or not self._annihilates(lam):
+            return self.zero()
+        constant = Polynomial._trusted(self.rank, {(0,) * self.rank: coeff})
+        return CoulombElement._trusted(self, {lam: constant})
 
     def zero(self) -> "CoulombElement":
         return CoulombElement(self, {})
@@ -263,7 +269,9 @@ def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> Coulo
     their cocharacters does too, and the result is built without
     re-validation.
     """
-    if x.theory != theory or y.theory != theory:
+    if (x.theory is not theory and x.theory != theory) or (
+        y.theory is not theory and y.theory != theory
+    ):
         raise ValueError("elements do not belong to the given theory")
     forms, rank = theory.linear_weights, theory.rank
     right = [(mu, q, _pairings(forms, mu)) for mu, q in y.support.items()]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import spaces
-from .exactalg import UnsupportedInputError, Value, strict_int, strict_int_tuple, text_ints
+from .exactalg import _INT_ONLY, UnsupportedInputError, Value, strict_int, strict_int_tuple, text_ints
 from .partitions import chain_to_orbit
 
 
@@ -85,11 +85,15 @@ class QuiverData(Value):
     __slots__ = ("gauge", "framing")
 
     def __init__(self, gauge: Sequence[int], framing: Sequence[int]):
-        self.gauge = strict_int_tuple(gauge, "gauge rank")
-        self.framing = strict_int_tuple(framing, "framing rank")
-        if len(self.gauge) != len(self.framing):
+        self.gauge = gauge = tuple(gauge)
+        self.framing = framing = tuple(framing)
+        both = gauge + framing
+        if not _INT_ONLY.issuperset(map(type, both)):  # one scan; name the first bad entry
+            strict_int_tuple(gauge, "gauge rank")
+            strict_int_tuple(framing, "framing rank")
+        if len(gauge) != len(framing):
             raise ValueError("gauge and framing vectors must have the same length")
-        if min(self.gauge + self.framing, default=0) < 0:
+        if min(both, default=0) < 0:
             raise ValueError("quiver dimensions must be nonnegative")
 
 
@@ -115,12 +119,12 @@ def quiver_to_diagram(q: QuiverData) -> BraneDiagram:
     One ``o`` opens each node, followed by w_i copies of ``x`` at constant
     segment dimension v_i, and a final ``o`` closes the diagram back to 0.
     """
-    dims: list[int] = [0]
+    dims: tuple[int, ...] = (0,)
     for v, w in zip(q.gauge, q.framing):
-        dims.extend([v] * (w + 1))
-    dims.append(0)
-    branes = "".join(NS5 + D5 * w for w in q.framing) + NS5
-    return BraneDiagram._trusted(branes, tuple(dims))
+        dims += (v,) * (w + 1)
+    # The empty ends put an o before the first node and after the last.
+    branes = NS5.join(["", *map(D5.__mul__, q.framing), ""])
+    return BraneDiagram._trusted(branes, dims + (0,))
 
 
 def sdual(d: BraneDiagram) -> BraneDiagram:

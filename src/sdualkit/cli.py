@@ -321,8 +321,10 @@ def _moved(diagram: brane.BraneDiagram, move: int | None) -> brane.BraneDiagram:
 def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
     """Line-command loop: hw <i>, sdual, linking, dims, undo, quit.
 
-    Both moves are involutions, so the history keeps the moves, not the
-    diagrams, and undo makes the last move again; it keeps the last MAX_UNDO.
+    A command given an extra token, or hw without its index, is refused
+    with its usage line and changes nothing. Both moves are involutions, so the
+    history keeps the moves, not the diagrams, and undo makes the last move
+    again; it keeps the last MAX_UNDO.
     """
     diagram = initial
     history: deque[int | None] = deque(maxlen=MAX_UNDO)  # hw indices, None for sdual
@@ -337,12 +339,14 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
         if not tokens:
             continue
         op = tokens[0]
-        if op == "quit":
-            break
         try:
+            if op == "hw" and len(tokens) != 2:
+                raise ValueError("usage: hw <index>")
+            if op in ("sdual", "undo", "dims", "linking", "quit") and len(tokens) != 1:
+                raise ValueError(f"usage: {op}")
+            if op == "quit":
+                break
             if op in ("hw", "sdual"):
-                if op == "hw" and len(tokens) != 2:
-                    raise ValueError("usage: hw <index>")
                 move = text_ints(tokens[1:], "move index")[0] if op == "hw" else None
                 diagram = _moved(diagram, move)
                 history.append(move)

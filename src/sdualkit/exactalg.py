@@ -376,7 +376,7 @@ def eval_product(factors: Sequence[tuple[LinearForm, int]], rank: int) -> Polyno
         raise ValueError("rank must be nonnegative")
     degree, bound, live = 0, 1, []
     for form, exponent in factors:
-        if form.rank != rank:
+        if len(form.coeffs) != rank:
             raise ValueError(f"form rank {form.rank} != {rank}")
         if type(exponent) is not int or exponent < 0:  # one type test per factor
             strict_int(exponent, "exponent")

@@ -279,6 +279,15 @@ def _kostant_cases():
         yield matter(theory=TorusTheory(1, [], [[mult]])), g1
 
 
+# sdual_torus at effective rank two or more, (rank, linear, multiplicative):
+# the Coulomb branch, of twice the effective rank.
+SDUAL_TORUS_CASES = [
+    ((2, [[1, 0], [0, 1]], []), 4),
+    ((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], []), 6),
+    ((3, [[1, 1, 0], [0, 1, 0]], [[0, 0, 1]]), 4),
+]
+
+
 def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
     cases = 0
     for m, g in _kostant_cases():
@@ -286,6 +295,11 @@ def check_kostant_reduction(rng: random.Random) -> tuple[bool, str]:
         if not result.passed:
             return False, f"failed for {m!r} under {g}: {result}"
         cases += 1
+    for args, dim in SDUAL_TORUS_CASES:
+        theory = TorusTheory(*args)
+        dual = abelian_coulomb.sdual_torus(theory)
+        if (dual.kind, dual.dim) != ("coulomb_branch", dim):
+            return False, f"dual of {theory.describe()} is {dual}, want a coulomb_branch of dim {dim}"
     return True, f"{cases} reduction identities hold"
 
 
@@ -353,13 +367,14 @@ def _is_dual_pattern(d, word: str, dims: tuple[int, ...]) -> bool:
 
 def check_quiver_sdual_pipeline(rng: random.Random) -> tuple[bool, str]:
     count = 0
+    sdual, unfold, quiver = brane.sdual, brane.quiver_to_diagram, brane.QuiverData
     for length in range(1, 5):
         for framing in itertools.product(range(5), repeat=length):
             word = _dual_word(framing)
             # Expected dims gathered from (0,) + gauge; index 0 picks an outer zero.
             dims_of = itemgetter(*_dual_dims(range(1, length + 1), framing))
             for gauge in itertools.product(range(5), repeat=length):
-                built = brane.sdual(brane.quiver_to_diagram(brane.QuiverData(gauge, framing)))
+                built = sdual(unfold(quiver(gauge, framing)))
                 if not _is_dual_pattern(built, word, dims_of((0,) + gauge)):
                     return False, f"pipeline mismatch for gauge {gauge}, framing {framing}"
                 count += 1

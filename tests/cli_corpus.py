@@ -286,6 +286,10 @@ REPL_SCRIPTS = [
     ("0 o 1 x 0", "hw " + "9" * (cli.MAX_DIGITS + 1) + "\nquit\n"),
 ]
 
+# Each command given a token it does not take, after one move: the dims and
+# the undo that follow show the diagram and the history unchanged.
+REPL_EXTRA_TOKENS = ["sdual foo", "undo 3", "dims x", "linking 1", "quit now"]
+
 PARTITIONS = ["[4,2,1]", "[2,1]", "[1]", "[]", "[3,3]", "[1,2]", "[5,0]", " [ 2 , 1 ] ", "[6,5,5,2,1,1]"]
 MALFORMED_PARTITIONS = ["4,2", "[a]", "[-1]", "[1.5]", "[2;1]", "[٢]", "[+2]", "[2,1"]
 
@@ -479,6 +483,8 @@ def cases() -> list[tuple]:
         out += [(argv, stdin, None) for argv, stdin in _both(["dual", "-"], _doc(descriptor))]
     out += [(["dual", "-"], _doc(descriptor), None) for descriptor in STATED_DIMS]
     out += [(argv, stdin, None) for argv, stdin in _weight_count_cases()]
+    for line in REPL_EXTRA_TOKENS:
+        out.append((["repl", REPL_SCRIPTS[0][0]], f"hw 0\n{line}\ndims\nundo\nquit\n", None))
     return out
 
 

@@ -114,10 +114,25 @@ class TestQuiverToDiagram:
         assert d.dims == (0, 1, 2, 2, 2, 2, 0)
 
     def test_malformed_quivers(self):
-        with pytest.raises(ValueError, match="same length"):
-            QuiverData([1, 2], [0])
-        with pytest.raises(ValueError, match="nonnegative"):
-            QuiverData([1, -1], [0, 0])
+        # One scan tests every type; a failed scan names the first bad entry,
+        # gauge before framing, before the lengths and the signs are read.
+        for gauge, framing, message in [
+            ([1, True], [0, 1], "gauge rank must be an integer, got True"),
+            ([True], [1.5], "gauge rank must be an integer, got True"),
+            ([1], [1.0], "framing rank must be an integer, got 1.0"),
+            ([1], [True, 2], "framing rank must be an integer, got True"),
+            ([1, 2], [0], "gauge and framing vectors must have the same length"),
+            ([1], [-1, 0], "gauge and framing vectors must have the same length"),
+            ([1, -1], [0, 0], "quiver dimensions must be nonnegative"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                QuiverData(gauge, framing)
+            assert str(info.value) == message
+
+    def test_the_empty_quiver_unfolds_to_one_o(self):
+        d = quiver_to_diagram(QuiverData([], []))
+        assert d.render() == "0 o 0"
+        assert d == BraneDiagram(["o"], [0, 0])
 
     def test_gauge_ranks_recovered_from_jumps(self):
         rng = random.Random(2)

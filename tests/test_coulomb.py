@@ -330,6 +330,33 @@ class TestElementAlgebra:
             with pytest.raises(ValueError, match="coefficient must be an integer or a Polynomial"):
                 t.monomial((1, 0), coeff)
 
+    def test_an_int_coefficient_builds_what_the_constructor_builds(self):
+        # (1, 1) annihilates the multiplicative weight, (1, 0) meets it.
+        t = TorusTheory(2, [[1, 0]], [[1, -1]])
+        for lam in ((1, 1), [1, 1], (1, 0), (0, 0)):
+            for coeff in (0, 1, -3, Polynomial(2, {(1, 0): 2})):
+                built = t.monomial(lam, coeff)
+                want = CoulombElement(t, {tuple(lam): coeff})
+                assert built == want and hash(built) == hash(want)
+                assert all(type(key) is tuple for key in built.support)
+                assert all(c.rank == 2 and not c.is_zero() for c in built.support.values())
+        assert t.monomial((1, 0), 5).is_zero()
+        with pytest.raises(ValueError, match="integer"):
+            t.monomial((1, 1), True)
+        with pytest.raises(ValueError, match="cocharacter entry must be an integer"):
+            t.monomial((1, 1.0), 2)
+
+    def test_multiply_takes_an_equal_theory_and_refuses_another(self):
+        t, equal, other = TorusTheory(1, [[1]]), TorusTheory(1, [[1]]), TorusTheory(1, [[2]])
+        assert equal is not t and equal == t
+        want = multiply(t, t.monomial((1,)), t.monomial((-1,)))
+        assert multiply(t, equal.monomial((1,)), t.monomial((-1,))) == want
+        assert multiply(t, t.monomial((1,)), equal.monomial((-1,))) == want
+        assert multiply(equal, t.monomial((1,)), t.monomial((-1,))) == want
+        for x, y in ((other.monomial((1,)), t.monomial((-1,))), (t.monomial((1,)), other.monomial((-1,)))):
+            with pytest.raises(ValueError, match="elements do not belong to the given theory"):
+                multiply(t, x, y)
+
     def test_construction_checks_each_cocharacter_once(self, monkeypatch):
         t = TorusTheory(2, [[1, 0]], [[1, -1]])
         checked = []

@@ -121,6 +121,19 @@ def test_kostant_reduction_fails_on_a_faulty_coulomb_dimension(monkeypatch):
     assert detail.startswith(f"failed for {first!r} under T(1): ")
 
 
+def test_kostant_reduction_fails_on_a_faulty_coulomb_branch_dimension(monkeypatch):
+    # the rule 2 * rank made 2 + rank: right at rank 2, two short at rank 3
+    assert inspect.getsource(spaces).count("lambda m: 2 * m.theory.rank") == 1
+    constructor, fields, _ = spaces.SpaceDescriptor.KINDS["coulomb_branch"]
+    faulty = (constructor, fields, lambda m: 2 + m.theory.rank)
+    monkeypatch.setitem(spaces.SpaceDescriptor.KINDS, "coulomb_branch", faulty)
+    theory = "rank 3, linear [1, 0, 0],[0, 1, 0],[0, 0, 1]"
+    assert run_check("kostant-reduction") == (
+        False,
+        f"dual of {theory} is CoulombBranch({theory})  (dim 5), want a coulomb_branch of dim 6",
+    )
+
+
 def test_hyperspherical_deficit_fails_on_a_faulty_point_deficit(monkeypatch):
     deficit = spaces.hyperspherical_deficit
     gl3 = spaces.GroupDescriptor.gl(3)
