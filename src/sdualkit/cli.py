@@ -322,9 +322,9 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
     """Line-command loop: hw <i>, sdual, linking, dims, undo, quit.
 
     A command given an extra token, or hw without its index, is refused
-    with its usage line and changes nothing. Both moves are involutions, so the
-    history keeps the moves, not the diagrams, and undo makes the last move
-    again; it keeps the last MAX_UNDO.
+    with its usage line and changes nothing. Both moves are involutions,
+    so the history keeps the moves, not the diagrams, and undo makes the
+    last move again; it keeps the last MAX_UNDO.
     """
     diagram = initial
     history: deque[int | None] = deque(maxlen=MAX_UNDO)  # hw indices, None for sdual

@@ -484,7 +484,7 @@ def cases() -> list[tuple]:
     out += [(["dual", "-"], _doc(descriptor), None) for descriptor in STATED_DIMS]
     out += [(argv, stdin, None) for argv, stdin in _weight_count_cases()]
     for line in REPL_EXTRA_TOKENS:
-        out.append((["repl", REPL_SCRIPTS[0][0]], f"hw 0\n{line}\ndims\nundo\nquit\n", None))
+        out.append((["repl", "0 o 1 x 1 x 1 o 0"], f"hw 0\n{line}\ndims\nundo\nquit\n", None))
     return out
 
 

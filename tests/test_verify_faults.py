@@ -122,7 +122,7 @@ def test_kostant_reduction_fails_on_a_faulty_coulomb_dimension(monkeypatch):
 
 
 def test_kostant_reduction_fails_on_a_faulty_coulomb_branch_dimension(monkeypatch):
-    # the rule 2 * rank made 2 + rank: right at rank 2, two short at rank 3
+    # the rule 2 * rank made 2 + rank: right at rank 2, one short at rank 3
     assert inspect.getsource(spaces).count("lambda m: 2 * m.theory.rank") == 1
     constructor, fields, _ = spaces.SpaceDescriptor.KINDS["coulomb_branch"]
     faulty = (constructor, fields, lambda m: 2 + m.theory.rank)
