@@ -16,8 +16,8 @@ the unique rule bilinear in the weight valuations that reproduces every
 rank-one case; a class r[lam] is homogeneous of monopole degree
 sum_j |<a_j, lam>| / 2 (half-integers are stored doubled), with each w of
 degree one. Multiplicative matter kills every class whose cocharacter fails
-to annihilate its weights, so those theories reduce to the kernel
-sublattice.
+to annihilate its weights, so those theories reduce to the kernel sublattice.
+A table's box is filtered by the at most rank weights that cut it out.
 
 The engine works on pairings: since <a_j, lam + mu> = <a_j, lam> + <a_j, mu>,
 the exponents d_j of a product need only the pairing tuples of lam and mu,
@@ -50,6 +50,7 @@ from .exactalg import (
 
 
 Cochar = tuple[int, ...]
+Table = list[tuple[Cochar, Cochar, Polynomial]]
 
 
 def _as_form(weight, rank: int) -> LinearForm:
@@ -107,11 +108,8 @@ class TorusTheory(Value):
             raise ValueError(f"cocharacter {lam} has length {len(lam)}, expected {self.rank}")
         return lam
 
-    def annihilates_multiplicative(self, lam: Sequence[int]) -> bool:
-        return self._annihilates(self._check_cochar(lam))
-
     def _annihilates(self, lam: Cochar) -> bool:
-        """annihilates_multiplicative for a cocharacter _check_cochar returned."""
+        """Whether a checked cocharacter pairs to zero with every multiplicative weight."""
         return not any(_pairings(self.multiplicative_weights, lam))
 
     def monopole_degree_doubled(self, lam: Sequence[int]) -> int:
@@ -395,28 +393,41 @@ def cochar_box(rank: int, cutoff: int) -> list[Cochar]:
     return list(itertools.product(range(-cutoff, cutoff + 1), repeat=strict_int(rank, "rank")))
 
 
-def structure_constant_table(
-    theory: TorusTheory, cutoff: int
-) -> list[tuple[Cochar, Cochar, Polynomial]]:
-    """All products r[lam] * r[mu] with |lam|_inf, |mu|_inf <= cutoff.
-
-    Only cocharacters annihilating the multiplicative weights appear; the
-    listing is sorted for deterministic output.
-    """
+def annihilating_cochars(theory: TorusTheory, cutoff: int) -> list[Cochar]:
+    """Every cocharacter with |lam|_inf <= cutoff that annihilates the multiplicative
+    weights, in lexicographic order. A weight is kept only if it pairs nonzero with the
+    kernel lattice of those kept before it, so at most rank are kept, with the same kernel."""
     if strict_int(cutoff, "cutoff") < 0:
         raise ValueError("cutoff must be nonnegative")
+    rank = theory.rank
+    if not cutoff:
+        # Only the origin, before any weight is read: ranks above 9 admit only cutoff 0 to
+        # --table, where testing 40,000 zero weights on Z^16 would outweigh the command.
+        return [(0,) * rank]
+    forms, kernel = [], integer_kernel([], rank)
+    for b in theory.multiplicative_weights:
+        if any(sum(map(mul, b.coeffs, v)) for v in kernel):  # else b kills no class the forms keep
+            forms.append(b.coeffs)
+            kernel = integer_kernel(forms, rank)
+    return [lam for lam in cochar_box(rank, cutoff) if not any(sum(map(mul, f, lam)) for f in forms)]
+
+
+def structure_constant_table(theory: TorusTheory, cutoff: int) -> Table:
+    """All products r[lam] * r[mu] with lam and mu in annihilating_cochars(theory,
+    cutoff), the cocharacters within the cutoff that survive; sorted, lam major."""
+    return _products(theory, annihilating_cochars(theory, cutoff))
+
+
+def _products(theory: TorusTheory, cochars: list[Cochar]) -> Table:
+    """The products r[lam] * r[mu] over every pair of ``cochars``, lam major."""
     forms, rank = theory.linear_weights, theory.rank
-    box = [
-        (lam, _pairings(forms, lam))
-        for lam in cochar_box(rank, cutoff)
-        if theory._annihilates(lam)
-    ]
+    paired = [(lam, _pairings(forms, lam)) for lam in cochars]
     # Most entries repeat an exponent vector; each distinct one is expanded
     # once, and the dict goes with the call.
     factors: dict[tuple[int, ...], Polynomial] = {}
     table = []
-    for lam, at_lam in box:
-        for mu, at_mu in box:
+    for lam, at_lam in paired:
+        for mu, at_mu in paired:
             exponents = _exponents(at_lam, at_mu)
             factor = factors.get(exponents)
             if factor is None:

@@ -18,10 +18,10 @@ from collections import deque
 from . import brane, spaces
 from .abelian_coulomb import (
     TorusTheory,
-    cochar_box,
+    _products,
+    annihilating_cochars,
     present_rank1,
     reduce_multiplicative,
-    structure_constant_table,
 )
 from .exactalg import MAX_DIGITS, UnsupportedInputError, text_ints
 from .partitions import (
@@ -42,7 +42,6 @@ MAX_RANK = 16  # the rank of a theory
 MAX_WEIGHTS = 40_000  # a theory's weight vectors, linear and multiplicative
 MAX_WEIGHT = 1_024  # a theory's weight size, and a table's largest degree; see BOUNDS
 MAX_TABLE_TERMS = 40_000  # see BOUNDS
-MAX_TABLE_TESTS = 500_000  # see BOUNDS
 MAX_TABLE_PAIRINGS = 5_000_000  # see BOUNDS
 MAX_UNDO = 1_000  # the repl moves that undo can take back; older ones are dropped
 
@@ -55,18 +54,19 @@ BOUNDS = (
     f"multiplicative, {MAX_WEIGHTS}; the weight size of a theory presented "
     "or dualized (the sum of the absolute values of its weights' entries), also after "
     f"multiplicative reduction, {MAX_WEIGHT}; for --table, the cutoff times the weight size "
-    f"of the linear weights, {MAX_WEIGHT}, the cocharacters within the cutoff, "
-    f"{MAX_TABLE_TERMS}, those times the multiplicative weights, {MAX_TABLE_TESTS}, its "
-    "products, the pairs of cocharacters within the cutoff that annihilate the "
-    f"multiplicative weights, times the linear weights, {MAX_TABLE_PAIRINGS}, and its terms, "
-    f"{MAX_TABLE_TERMS}, counting each product as the number of monomials of the table's "
-    "largest degree in rank variables."
+    f"of the linear weights, {MAX_WEIGHT}, the weight size of each multiplicative weight, "
+    f"{MAX_WEIGHT}, the cocharacters within the cutoff, {MAX_TABLE_TERMS}, its products, the pairs "
+    "of cocharacters within the cutoff that annihilate the multiplicative weights, times the "
+    f"linear weights, {MAX_TABLE_PAIRINGS}, and its terms, {MAX_TABLE_TERMS}, counting each product "
+    "as the number of monomials of the table's largest degree in rank variables."
 )
 
 
 def _bound(what: str, value: int, limit: int) -> None:
     if value > limit:
-        raise UnsupportedInputError(f"{what} {value} is above the bound {limit}")
+        # A sum of integers read can pass the digits that str() renders.
+        shown = value if value < 10**MAX_DIGITS else f"of more than {MAX_DIGITS} digits"
+        raise UnsupportedInputError(f"{what} {shown} is above the bound {limit}")
 
 
 def _weight_size(weights) -> int:
@@ -89,22 +89,24 @@ def _check_theory(theory: TorusTheory) -> None:
     _bound("reduced weight size", _weight_size(reduced.linear_weights), MAX_WEIGHT)
 
 
-def _check_table(theory: TorusTheory, cutoff: int) -> None:
+def _checked_table(theory: TorusTheory, cutoff: int) -> list:
+    """The structure-constant table of ``theory`` to ``cutoff``, once within the bounds on --table."""
     _checked_weights(theory)
     rank, linear = theory.rank, len(theory.linear_weights)
-    box = (2 * cutoff + 1) ** rank
-    _bound("cochar box", box, MAX_TABLE_TERMS)
-    # Each cocharacter is tested against each multiplicative weight, and each
-    # product's exponents take one step per linear weight.
-    tests = box * len(theory.multiplicative_weights)
-    _bound("cochar box times multiplicative weights", tests, MAX_TABLE_TESTS)
+    _bound("cochar box", (2 * max(cutoff, 0) + 1) ** rank, MAX_TABLE_TERMS)
     # r[lam] * r[mu] has degree at most cutoff * sum_j |a_j|_1.
     degree = cutoff * _weight_size(theory.linear_weights)
     _bound("cutoff times linear weight size", degree, MAX_WEIGHT)
-    products = sum(map(theory.annihilates_multiplicative, cochar_box(rank, cutoff))) ** 2
+    # Each multiplicative weight may enter a kernel, whose cost grows with its digits.
+    size = max((sum(map(abs, b.coeffs)) for b in theory.multiplicative_weights), default=0)
+    _bound("multiplicative weight size", size, MAX_WEIGHT)
+    cochars = annihilating_cochars(theory, cutoff)  # which refuses a negative cutoff
+    # Each product's exponents take one step per linear weight.
+    products = len(cochars) ** 2
     _bound("products times linear weights", products * linear, MAX_TABLE_PAIRINGS)
     monomials = math.comb(degree + rank - 1, rank - 1) if rank else 1
     _bound("table size", products * monomials, MAX_TABLE_TERMS)
+    return _products(theory, cochars)
 
 
 def _integers(doc) -> list[int]:
@@ -217,8 +219,7 @@ def _cmd_coulomb(args) -> int:
     (cutoff,) = text_ints((args.cutoff,), "cutoff")
     theory = TorusTheory.from_json(_read_document(args.input))
     if args.table:
-        _check_table(theory, max(cutoff, 0))
-        table = structure_constant_table(theory, cutoff=cutoff)
+        table = _checked_table(theory, cutoff)
         return _emit(args, lambda: _table_json(table, theory.rank), lambda: _table_text(table))
     _check_theory(theory)
     presentation = present_rank1(theory)

@@ -20,6 +20,7 @@ from .abelian_coulomb import (
     cochar_box,
     multiply,
     present_rank1,
+    structure_constant_table,
     structure_exponents,
     structure_factor,
 )
@@ -177,6 +178,14 @@ def check_coulomb_grading(rng: random.Random) -> tuple[bool, str]:
             return False, f"inhomogeneous product at {lam},{mu} for {t!r}"
         if prod != t.monomial(tuple(map(add, lam, mu)), structure_factor(t, lam, mu)):
             return False, f"product is not its structure constant at {lam},{mu} for {t!r}"
+    # Tables against multiply over the cocharacters of the box whose class is not zero.
+    for t, k in [(TorusTheory(2, [[1, 1]], [[1, -1]]), 2), (TorusTheory(3, [[1, 0, 2]], [[1, 1, 0]]), 1),
+                 (TorusTheory(2, [[1, 2]], [[3, 1]]), 0), (TorusTheory(2, [[1, -1], [0, 2]]), 1)]:
+        box = [lam for lam in cochar_box(t.rank, k) if not t.monomial(lam).is_zero()]
+        want = [(l, m, multiply(t, t.monomial(l), t.monomial(m))) for l in box for m in box]
+        got = [(l, m, t.monomial(tuple(map(add, l, m)), p)) for l, m, p in structure_constant_table(t, k)]
+        if got != want:
+            return False, f"table at cutoff {k} differs from multiply for {t.describe()}"
     return True, f"{pairs_checked} structure constants homogeneous"
 
 
@@ -218,8 +227,8 @@ def check_orbit_rank_oracle(rng: random.Random) -> tuple[bool, str]:
     for n in range(0, 11):
         for lam in partitions_of(n):
             table = numeric_jordan_oracle(lam)
-            for k, rank in table.items():
-                if rank_profile(lam, k) != rank:
+            for k in range(max(lam.parts, default=0) + 1):
+                if rank_profile(lam, k) != table.get(k):
                     return False, f"rank mismatch at {lam}, power {k}"
                 count += 1
             if n <= 7 and orbit_dim(lam) != (expected := n * n - _commutant_dim(lam)):

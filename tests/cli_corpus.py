@@ -378,18 +378,18 @@ def _bound_cases():
 def _weight_count_cases():
     """One case at and one above each bound that zero weights reach: they add
     nothing to a weight size, but each one is a weight vector."""
-    count, tests, pairings = cli.MAX_WEIGHTS, cli.MAX_TABLE_TESTS, cli.MAX_TABLE_PAIRINGS
+    count, pairings = cli.MAX_WEIGHTS, cli.MAX_TABLE_PAIRINGS
     table = ["coulomb", "--table", "--cutoff"]
     return [
         # the weight vectors of a theory
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * (count - 1)})),
         (["coulomb", "-"], _doc({"rank": 1, "linear_weights": [[1]] + [[0]] * count})),
-        # for --table, the 25^2 cocharacters within cutoff 12 times 800 multiplicative
-        # weights; the linear weight is not counted
+        # for --table, 800 and 801 multiplicative weights, one of them (1, 0): no bound
+        # counts them, and both leave the 25 cocharacters (0, m) within cutoff 12
         ([*table, "12", "-"], _doc({"rank": 2, "linear_weights": [[0, 0]],
-                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625 - 1)})),
+                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * 799})),
         ([*table, "12", "-"], _doc({"rank": 2, "linear_weights": [[0, 0]],
-                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * (tests // 625)})),
+                                    "multiplicative_weights": [[1, 0]] + [[0, 0]] * 800})),
         # ... and the 125^2 products within cutoff 62 times 320 linear weights
         ([*table, "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625)})),
         ([*table, "62", "-"], _doc({"rank": 1, "linear_weights": [[0]] * (pairings // 15625 + 1)})),

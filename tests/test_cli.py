@@ -362,11 +362,6 @@ class TestBounds:
             (["dual", "-"], {"rank": 1, "multiplicative_weights": [[0]] * (cli.MAX_WEIGHTS + 1)}),
             # 199^2 products at cutoff 99, each paired with 1,000 linear weights
             (["coulomb", "--table", "--cutoff", "99", "-"], {"rank": 1, "linear_weights": [[0]] * 1000}),
-            # 199^2 cocharacters within the cutoff, each tested against 13 weights
-            (
-                ["coulomb", "--table", "--cutoff", "99", "-"],
-                {"rank": 2, "multiplicative_weights": [[1, 0]] * 13},
-            ),
         ],
     )
     def test_just_above_the_bound_exits_3(self, argv, stdin, capsys, monkeypatch):
@@ -374,6 +369,32 @@ class TestBounds:
         code, out, err = run_cli(argv, capsys, stdin=text, monkeypatch=monkeypatch)
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "above the bound" in err
+
+    def test_many_multiplicative_weights_are_not_bounded_by_the_box(self, capsys, monkeypatch):
+        # 199^2 cocharacters within the cutoff and 13 multiplicative weights; the
+        # kernel of (1, 0) leaves the 199 cocharacters (0, m), so 199^2 products
+        doc = {"rank": 2, "multiplicative_weights": [[1, 0]] * 13}
+        argv = ["coulomb", "--table", "--cutoff", "99", "-"]
+        code, out, err = run_cli(argv, capsys, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 199**2
+        assert lines[0] == "r[0,-99] * r[0,-99] = r[0,-198]"
+
+    @pytest.mark.parametrize(
+        "weights, code",
+        [
+            ([[cli.MAX_WEIGHT]] * 3, 0),
+            ([[1], [cli.MAX_WEIGHT + 1]], 3),
+            ([[-cli.MAX_WEIGHT - 1]], 3),
+        ],
+    )
+    def test_each_multiplicative_weight_of_a_table_has_a_bounded_size(
+        self, weights, code, capsys, monkeypatch
+    ):
+        doc = json.dumps({"rank": 1, "multiplicative_weights": weights})
+        argv = ["coulomb", "--table", "--cutoff", "1", "-"]
+        assert run_cli(argv, capsys, stdin=doc, monkeypatch=monkeypatch)[0] == code
 
     @pytest.mark.parametrize(
         "argv, stdin",
@@ -388,6 +409,18 @@ class TestBounds:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "above the bound" in err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["coulomb", "-"], "linear_weights"), (["coulomb", "--table", "-"], "multiplicative_weights")],
+    )
+    def test_a_weight_size_past_the_printable_digits_exits_3(self, argv, key, capsys, monkeypatch):
+        # each entry has the most digits read; their sum has one more
+        nines = "9" * cli.MAX_DIGITS
+        text = f'{{"rank": 2, "{key}": [[{nines}, {nines}]]}}'
+        code, out, err = run_cli(argv, capsys, stdin=text, monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and f"of more than {cli.MAX_DIGITS} digits is above" in err
+
     def test_document_nested_past_the_recursion_limit_exits_3(self, capsys, monkeypatch):
         text = "[" * 100_000 + "]" * 100_000
         code, out, err = run_cli(["dual", "-"], capsys, stdin=text, monkeypatch=monkeypatch)
@@ -397,9 +430,10 @@ class TestBounds:
         assert cli.main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         bounds = (cli.MAX_DIGITS, cli.MAX_N, cli.MAX_CHAIN, cli.MAX_BRANES, cli.MAX_RANK, cli.MAX_WEIGHT,
-                  cli.MAX_WEIGHTS, cli.MAX_TABLE_TESTS, cli.MAX_TABLE_PAIRINGS)
+                  cli.MAX_WEIGHTS, cli.MAX_TABLE_PAIRINGS)
         for bound in bounds:
             assert f", {bound}" in out
+        assert f"the weight size of each multiplicative weight, {cli.MAX_WEIGHT}" in out
         assert f"{cli.MAX_TABLE_TERMS}" in out
 
     def test_repl_help_states_the_undo_bound(self, capsys):

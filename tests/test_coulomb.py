@@ -3,10 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdualkit import abelian_coulomb
 from sdualkit.abelian_coulomb import (
     CoulombElement,
     TorusTheory,
+    annihilating_cochars,
     multiply,
     present_rank1,
     reduce_multiplicative,
@@ -145,6 +149,72 @@ class TestMultiply:
                 assert prod.is_zero()
             else:
                 assert prod == t.monomial(key, poly)
+
+
+def annihilates(weights, lam):
+    """The brute-force test: every weight, zero and repeated ones too, pairs to zero with lam."""
+    return all(sum(b * x for b, x in zip(row, lam)) == 0 for row in weights)
+
+
+# A rank of 0-4, up to 3 multiplicative weights with entries in [-3, 3], and a cutoff of 0-4 (0-2 at rank 4).
+THEORIES = st.integers(0, 4).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank), max_size=3),
+        st.integers(0, 4 if rank < 4 else 2),
+    )
+)
+
+
+class TestAnnihilatingCochars:
+    @settings(max_examples=400, deadline=None)
+    @given(THEORIES)
+    def test_it_is_the_box_filtered_by_every_weight(self, case):
+        rank, weights, cutoff = case
+        theory = TorusTheory(rank, [[1] * rank], weights)
+        expected = [lam for lam in box(rank, cutoff) if annihilates(weights, lam)]
+        assert annihilating_cochars(theory, cutoff) == expected
+
+    def test_random_theories_with_repeated_and_dependent_weights(self):
+        rng = random.Random("coulomb:annihilating")
+        for _ in range(300):
+            rank = rng.randint(1, 4)
+            rows = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rng.randint(1, 3))]
+            # a repeat, a multiple and a sum of the rows say nothing new
+            weights = rows + [rows[0], [2 * x for x in rows[-1]], [sum(c) for c in zip(*rows)]]
+            cutoff = rng.randint(1, 3)
+            expected = [lam for lam in box(rank, cutoff) if annihilates(rows, lam)]
+            assert annihilating_cochars(TorusTheory(rank, [], weights), cutoff) == expected
+
+    def test_lexicographic_order(self):
+        assert annihilating_cochars(TorusTheory(2, [], [[1, -1]]), 2) == [
+            (-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)
+        ]
+        assert annihilating_cochars(TorusTheory(3, [], [[1, 1, 0]]), 1) == [
+            (-1, 1, -1), (-1, 1, 0), (-1, 1, 1),
+            (0, 0, -1), (0, 0, 0), (0, 0, 1),
+            (1, -1, -1), (1, -1, 0), (1, -1, 1),
+        ]
+
+    def test_cutoff_zero_is_the_origin_before_any_kernel(self, monkeypatch):
+        def refusing_kernel(rows, cols):
+            raise AssertionError("a kernel computed at cutoff 0")
+
+        monkeypatch.setattr(abelian_coulomb, "integer_kernel", refusing_kernel)
+        theory = TorusTheory(16, [[1] * 16], [[i % 5 - 2 for i in range(16)]] * 100)
+        assert annihilating_cochars(theory, 0) == [(0,) * 16]
+        assert structure_constant_table(theory, 0) == [((0,) * 16,) * 2 + (Polynomial.constant(16, 1),)]
+
+    def test_rank_zero_has_only_the_empty_cocharacter(self):
+        for cutoff in (0, 1, 5):
+            assert annihilating_cochars(TorusTheory(0), cutoff) == [()]
+            assert annihilating_cochars(TorusTheory(0, [], [[], []]), cutoff) == [()]
+
+    def test_no_multiplicative_weights_keep_the_whole_box(self):
+        for rank, cutoff in [(1, 3), (2, 2), (3, 1)]:
+            theory = TorusTheory(rank, [[1] * rank])
+            assert annihilating_cochars(theory, cutoff) == box(rank, cutoff)
+        assert annihilating_cochars(TorusTheory(2, [], [[0, 0]] * 4), 1) == box(2, 1)
 
 
 class TestMultiplicativeReduction:

@@ -66,12 +66,18 @@ def _as_sympy(poly, ws):
     return sympy.Poly.from_dict(dict(poly.terms), *ws) if poly.terms else sympy.Poly(0, *ws)
 
 
-def _check_table(rank, weights, cutoff, sample=None, rng=None):
+def _check_table(rank, weights, cutoff, sample=None, rng=None, mult=()):
     ws = _symbols(rank)
-    table = structure_constant_table(TorusTheory(rank, weights), cutoff=cutoff)
-    assert len(table) == (2 * cutoff + 1) ** (2 * rank)
+    table = structure_constant_table(TorusTheory(rank, weights, mult), cutoff=cutoff)
+    # The keys are the pairs of cocharacters in the box that pair to zero with every b.
+    box = [
+        lam
+        for lam in itertools.product(range(-cutoff, cutoff + 1), repeat=rank)
+        if all(sum(b * x for b, x in zip(row, lam)) == 0 for row in mult)
+    ]
+    assert [(lam, mu) for lam, mu, _ in table] == [(lam, mu) for lam in box for mu in box]
     if sample is not None:
-        table = rng.sample(table, sample)
+        table = rng.sample(table, min(sample, len(table)))
     for lam, mu, poly in table:
         _check_entry(weights, lam, mu, poly, ws)
 
@@ -109,6 +115,12 @@ class TestAbelianization:
         rng = random.Random("oracles:abelian:3")
         for _ in range(4):
             _check_table(3, _random_weights(rng, 3), cutoff=1, sample=80, rng=rng)
+
+    def test_tables_with_multiplicative_weights(self):
+        rng = random.Random("oracles:abelian:multiplicative")
+        for rank, cutoff, rows in [(2, 3, 1), (2, 2, 1), (3, 2, 1), (3, 1, 2), (4, 1, 2)]:
+            mult = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(rows)]
+            _check_table(rank, _random_weights(rng, rank), cutoff, sample=60, rng=rng, mult=mult)
 
     def test_ranks_four_to_nine_with_unused_variables(self):
         # One structure constant at a time: a rank-9 table would hold 3^18

@@ -28,7 +28,7 @@ from sdualkit import (
     rank_profile,
     structure_constant_table,
 )
-from sdualkit.abelian_coulomb import cochar_box
+from sdualkit.abelian_coulomb import annihilating_cochars, cochar_box
 from sdualkit.exactalg import Value
 
 # One factory per value class; each call builds a fresh, equal value.
@@ -169,6 +169,7 @@ NOT_INTS = {
     "structure_constant_table.cutoff": lambda bad: structure_constant_table(
         TorusTheory(1, [[1]]), cutoff=bad
     ),
+    "annihilating_cochars.cutoff": lambda bad: annihilating_cochars(TorusTheory(1, [], [[1]]), bad),
     "cochar_box.cutoff": lambda bad: cochar_box(2, bad),
     "cochar_box.rank": lambda bad: cochar_box(bad, 1),
     "hw_move.index": lambda bad: hw_move(BraneDiagram(["o", "x", "o"], [0, 1, 1, 0]), bad),
@@ -192,6 +193,13 @@ NOT_INTS = {
 def test_constructors_take_only_ints(build, bad):
     with pytest.raises(ValueError, match="integer"):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [-1, -40_000], ids=["minus-one", "minus-many"])
+@pytest.mark.parametrize("build", [annihilating_cochars, structure_constant_table])
+def test_a_negative_cutoff_is_refused(build, bad):
+    with pytest.raises(ValueError, match="^cutoff must be nonnegative$"):
+        build(TorusTheory(1, [], [[1]]), bad)
 
 
 @pytest.mark.parametrize("bad", [False, 0.0], ids=["false", "zero-float"])

@@ -107,6 +107,33 @@ def test_grading_fails_on_an_expansion_that_drops_a_term(monkeypatch):
     assert detail.startswith("inhomogeneous structure constant at ")
 
 
+@pytest.mark.parametrize(
+    "old, new, detail",
+    [
+        # the box filtered by the basis of the kernel instead of the kept weights
+        (
+            "for f in forms)]",
+            "for f in kernel)]",
+            "table at cutoff 2 differs from multiply for rank 2, linear [1, 1], mult [1, -1]",
+        ),
+        # the origin dropped at cutoff 0
+        (
+            "return [(0,) * rank]",
+            "return []",
+            "table at cutoff 0 differs from multiply for rank 2, linear [1, 2], mult [3, 1]",
+        ),
+    ],
+    ids=["first-kernel", "no-origin"],
+)
+def test_grading_fails_on_faulty_annihilating_cochars(monkeypatch, old, new, detail):
+    source = inspect.getsource(abelian_coulomb.annihilating_cochars)
+    assert source.count(old) == 1
+    namespace = dict(vars(abelian_coulomb))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(abelian_coulomb, "annihilating_cochars", namespace["annihilating_cochars"])
+    assert run_check("coulomb-grading") == (False, detail)
+
+
 def test_kostant_reduction_fails_on_a_faulty_coulomb_dimension(monkeypatch):
     coulomb_dim = spaces.coulomb_dim
 
@@ -183,6 +210,18 @@ def test_orbit_rank_oracle_fails_on_a_faulty_rank_profile(monkeypatch):
 
     monkeypatch.setattr(verify, "rank_profile", faulty_rank_profile)
     assert run_check("orbit-rank-oracle") == (False, "rank mismatch at [1,1,1], power 1")
+
+
+def test_orbit_rank_oracle_fails_on_an_oracle_without_its_top_power(monkeypatch):
+    oracle = verify.numeric_jordan_oracle
+
+    def faulty_oracle(lam):
+        table = oracle(lam)
+        del table[max(table)]
+        return table
+
+    monkeypatch.setattr(verify, "numeric_jordan_oracle", faulty_oracle)
+    assert run_check("orbit-rank-oracle") == (False, "rank mismatch at [], power 0")
 
 
 def test_partition_transpose_laws_fail_on_a_faulty_transpose(monkeypatch):
