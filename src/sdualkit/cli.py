@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="theory JSON file, or - for stdin")
 
     p = sub.add_parser("diagram", help="operate on a brane diagram")
-    p.add_argument("action", choices=("sdual", "hw", "linking"))
+    p.add_argument("action", choices=tuple(DIAGRAM_COMMANDS))
     p.add_argument("--json", action="store_true")
     p.add_argument("args", nargs="+", help="[index] diagram-text")
 
@@ -232,21 +232,27 @@ def _diagram(text: str) -> brane.BraneDiagram:
     return diagram
 
 
+# Each diagram command's integer arguments, as its usage names them, and its brane function.
+DIAGRAM_COMMANDS = {
+    "sdual": ((), brane.sdual),
+    "hw": (("<index>",), brane.hw_move),
+    "linking": ((), brane.linking_numbers),
+}
+
+
+def _diagram_command(name: str, tokens, usage: str = "{}"):
+    """The brane function of diagram command ``name`` and the integers of ``tokens``, whose
+    wrong number is refused with ``usage``, the command's usage line put in for its ``{}``."""
+    params, run = DIAGRAM_COMMANDS[name]
+    if len(tokens) != len(params):
+        raise ValueError("usage: " + usage.format(" ".join([name, *params])))
+    return run, text_ints(tokens, "move index")
+
+
 def _cmd_diagram(args) -> int:
-    if args.action == "hw":
-        if len(args.args) != 2:
-            raise ValueError("usage: diagram hw <index> <diagram>")
-        (index,) = text_ints(args.args[:1], "move index")
-        result = brane.hw_move(_diagram(args.args[1]), index)
-        return _emit(args, result.to_json, result.render)
-    if len(args.args) != 1:
-        raise ValueError(f"usage: diagram {args.action} <diagram>")
-    diagram = _diagram(args.args[0])
-    if args.action == "sdual":
-        result = brane.sdual(diagram)
-        return _emit(args, result.to_json, result.render)
-    linking = brane.linking_numbers(diagram)
-    return _emit(args, linking.to_json, linking.__str__)
+    run, ints = _diagram_command(args.action, args.args[:-1], "diagram {} <diagram>")
+    result = run(_diagram(args.args[-1]), *ints)
+    return _emit(args, result.to_json, result.__str__)
 
 
 def _cmd_orbit(args) -> int:
@@ -314,21 +320,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _moved(diagram: brane.BraneDiagram, move: int | None) -> brane.BraneDiagram:
-    """``diagram`` after the move at index ``move``, or its S-dual for None."""
-    return brane.sdual(diagram) if move is None else brane.hw_move(diagram, move)
-
-
 def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
-    """Line-command loop: hw <i>, sdual, linking, dims, undo, quit.
+    """Line-command loop: the DIAGRAM_COMMANDS (hw <i>, sdual, linking), dims, undo, quit.
 
-    A command given an extra token, or hw without its index, is refused
-    with its usage line and changes nothing. Both moves are involutions,
-    so the history keeps the moves, not the diagrams, and undo makes the
-    last move again; it keeps the last MAX_UNDO.
+    Each diagram command runs through its table row, as in ``diagram``. A command
+    given the wrong number of tokens is refused with its usage line and changes
+    nothing. Both moves are involutions, so the history keeps the last MAX_UNDO
+    moves (brane function and indices), not diagrams, and undo makes the last again.
     """
     diagram = initial
-    history: deque[int | None] = deque(maxlen=MAX_UNDO)  # hw indices, None for sdual
+    history: deque[tuple] = deque(maxlen=MAX_UNDO)
 
     def show() -> None:
         out.write(diagram.render() + "\n")
@@ -341,26 +342,25 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
             continue
         op = tokens[0]
         try:
-            if op == "hw" and len(tokens) != 2:
-                raise ValueError("usage: hw <index>")
-            if op in ("sdual", "undo", "dims", "linking", "quit") and len(tokens) != 1:
+            if op in DIAGRAM_COMMANDS:
+                run, ints = _diagram_command(op, tokens[1:])
+                result = run(diagram, *ints)
+                if isinstance(result, brane.BraneDiagram):  # a move; show() gives linking
+                    diagram = result
+                    history.append((run, ints))
+            elif op not in ("dims", "undo", "quit"):
+                raise ValueError(f"unknown command {op!r}")
+            elif len(tokens) != 1:
                 raise ValueError(f"usage: {op}")
-            if op == "quit":
+            elif op == "quit":
                 break
-            if op in ("hw", "sdual"):
-                move = text_ints(tokens[1:], "move index")[0] if op == "hw" else None
-                diagram = _moved(diagram, move)
-                history.append(move)
-            elif op == "undo":
-                if not history:
-                    raise ValueError("nothing to undo")
-                diagram = _moved(diagram, history.pop())
             elif op == "dims":
                 out.write(" ".join(str(d) for d in diagram.dims) + "\n")
-            elif op == "linking":
-                pass
+            elif not history:
+                raise ValueError("nothing to undo")
             else:
-                raise ValueError(f"unknown command {op!r}")
+                run, ints = history.pop()
+                diagram = run(diagram, *ints)
         except ValueError as exc:
             out.write(f"error: {exc}\n")
             continue
@@ -369,8 +369,7 @@ def run_repl(initial: brane.BraneDiagram, in_stream, out) -> int:
 
 
 def _cmd_repl(args) -> int:
-    diagram = _diagram(args.diagram)
-    return run_repl(diagram, sys.stdin, sys.stdout)
+    return run_repl(_diagram(args.diagram), sys.stdin, sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -576,6 +576,14 @@ class TestRepl:
             shown = [line for line in lines[2:] if not line.startswith(("ns5", "error:"))]
             assert shown == want
 
+    def test_help_names_the_diagram_commands_then_dims_undo_quit(self, capsys):
+        assert cli.main(["repl", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps the epilog
+        named = text.split("Commands, one a line: ", 1)[1].split(". ", 1)[0].split(", ")
+        usages = [" ".join([name, *params]) for name, (params, _) in cli.DIAGRAM_COMMANDS.items()]
+        assert sorted(named[:-3]) == sorted(usages)
+        assert named[-3:] == ["dims", "undo", "quit"]
+
     def test_undo_drops_the_oldest_moves_past_the_bound(self, monkeypatch):
         monkeypatch.setattr(cli, "MAX_UNDO", 3)
         lines = self.run_transcript("0 o 1 x 0", "sdual\n" * 5 + "undo\n" * 4)

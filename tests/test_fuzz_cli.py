@@ -3,18 +3,22 @@
 Subcommands get argv tokens drawn near the valid ones, and the JSON readers get
 theory, descriptor, group and diagram documents with keys dropped, misspelled
 or added and values swapped for other JSON. ``verify`` is left out: a filter
-that matches runs the whole suite, seconds per example.
+that matches runs the whole suite, seconds per example. The repl gets scripts
+of well-formed and malformed lines on its stdin, and its transcript is compared
+with a reference that keeps every diagram and applies the well-formed lines.
 """
 
 import copy
 import io
 import json
+import re
 import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdualkit import cli
+from sdualkit.brane import BraneDiagram, hw_move, sdual
 
 GROUPS = [
     {"kind": "gl", "n": 3},
@@ -125,7 +129,7 @@ document_commands = st.sampled_from(
 commands = st.one_of(
     st.tuples(st.sampled_from(["chain", "dual", "dims"]), st.lists(tokens, min_size=1, max_size=3))
     .map(lambda t: ["orbit", t[0], *t[1]]),
-    st.tuples(st.sampled_from(["sdual", "hw", "linking"]), st.lists(tokens, min_size=1, max_size=2))
+    st.tuples(st.sampled_from(list(cli.DIAGRAM_COMMANDS)), st.lists(tokens, min_size=1, max_size=2))
     .map(lambda t: ["diagram", t[0], *t[1]]),
     st.lists(tokens, max_size=3).map(lambda rest: ["repl", *rest]),
     st.lists(tokens, max_size=4),
@@ -168,3 +172,74 @@ def test_documents_exit_cleanly(argv, doc):
 @given(argv=commands)
 def test_argv_exits_cleanly(argv):
     check(argv)
+
+
+REPL_DIAGRAMS = ["0 o 1 x 2 o 2 x 1 o 1 x 0", "0 o 1 x 1 x 1 o 0", "0 o 2 x 0", "3"]
+MALFORMED_LINES = [
+    "", "   ", "foo", "foo 1", "hw", "hw 0 1", "sdual x", "linking 1", "dims 2", "undo 0",
+    "quit now", "hw 0_0", "hw \u0660", "hw +1", "hw " + "9" * (cli.MAX_DIGITS + 1),
+]
+
+
+@st.composite
+def repl_scripts(draw):
+    """An initial diagram and 1-25 lines, each well-formed or malformed."""
+    initial = draw(st.sampled_from(REPL_DIAGRAMS))
+    size = len(initial.split()) // 2  # the branes
+    line = (
+        st.integers(-1, size + 1).map(lambda i: f"hw {i}")
+        | st.sampled_from(["sdual", "linking", "dims", "undo", " undo\t"])
+        | st.sampled_from(MALFORMED_LINES)
+    )
+    return initial, draw(st.lists(line, min_size=1, max_size=25))
+
+
+def repl_reference(initial: str, lines: list[str]) -> list[tuple[str | None, str | None]]:
+    """Per non-blank line, the dims line it shows (or None) and the diagram it
+    shows, or (None, None) for a line refused with one error line."""
+    diagrams = [BraneDiagram.parse(initial)]
+    want = []
+    for line in lines:
+        tokens = line.split()
+        if not tokens:
+            continue
+        shown = None
+        if tokens[0] == "hw" and len(tokens) == 2 and re.fullmatch(r"-?[0-9]{1,30}", tokens[1], re.ASCII):
+            try:
+                diagrams.append(hw_move(diagrams[-1], int(tokens[1])))
+            except ValueError:
+                want.append((None, None))
+                continue
+        elif tokens == ["sdual"]:
+            diagrams.append(sdual(diagrams[-1]))
+        elif tokens == ["undo"] and len(diagrams) > 1:
+            diagrams.pop()
+        elif tokens == ["dims"]:
+            shown = " ".join(map(str, diagrams[-1].dims))
+        elif tokens != ["linking"]:
+            want.append((None, None))
+            continue
+        want.append((shown, diagrams[-1].render()))
+    return want
+
+
+@settings(FUZZ, max_examples=300)
+@given(script=repl_scripts())
+def test_repl_scripts_match_a_kept_diagram_history(script):
+    initial, lines = script
+    out = io.StringIO()
+    assert cli.run_repl(BraneDiagram.parse(initial), io.StringIO("\n".join(lines) + "\n"), out) == 0
+    transcript = out.getvalue().splitlines()
+    at = 2  # after the initial diagram and its linking line
+    for dims, diagram in repl_reference(initial, lines):
+        if diagram is None:
+            assert transcript[at].startswith("error: "), (lines, transcript[at:])
+            at += 1
+            continue
+        if dims is not None:
+            assert transcript[at] == dims, (lines, transcript[at:])
+            at += 1
+        assert transcript[at] == diagram, (lines, transcript[at:])
+        assert transcript[at + 1].startswith("ns5 "), (lines, transcript[at:])
+        at += 2
+    assert at == len(transcript), (lines, transcript[at:])

@@ -20,6 +20,11 @@
   sum_{i,j} min(lam_i, lam_j) (the commutant of a Jordan matrix), which
   fixes dim G x Slice[lam] = n^2 + that sum and the orbit closure's
   n^2 - that sum, with no transpose.
+* The bow variety of a brane diagram (Nakajima-Takayama, arXiv:1606.02002):
+  its dimension, read off the segment dimensions R by the sum below, is
+  unchanged by each Hanany-Witten transition (hep-th/9611230). An unfolded
+  quiver gives the Higgs-branch dimension 2(sum v_i w_i + sum v_i v_(i+1) -
+  sum v_i^2), and its S-dual the Coulomb-branch dimension 2 sum v_i.
 """
 
 import itertools
@@ -36,8 +41,10 @@ from sdualkit.abelian_coulomb import (
     structure_constant_table,
     structure_factor,
 )
+from sdualkit.brane import QuiverData, admissible_moves, hw_move, quiver_to_diagram, sdual
 from sdualkit.partitions import partitions_of
 from sdualkit.spaces import GroupDescriptor, SpaceDescriptor
+from sdualkit.verify import random_diagram
 
 
 def _symbols(rank):
@@ -289,3 +296,37 @@ class TestDescriptorDimensions:
                 z = _commutant_dim(lam.parts)
                 assert SpaceDescriptor.group_times_slice(gl, lam).dim == n * n + z, lam
                 assert SpaceDescriptor.orbit_closure(n, lam).dim == n * n - z, lam
+
+
+def _bow_dim(d):
+    """Each o between segments R- and R+ adds 2 R- R+, each x adds
+    R-^2 + R+^2 + R- + R+, and each inner segment R subtracts 2 R^2."""
+    r = d.dims
+    total = -2 * sum(x * x for x in r[1:-1])
+    for left, kind, right in zip(r, d.branes, r[1:]):
+        total += 2 * left * right if kind == "o" else left * left + right * right + left + right
+    return total
+
+
+class TestBowVarietyDimension:
+    def test_hanany_witten_moves_keep_it(self):
+        rng = random.Random(1)
+        moves = 0
+        for _ in range(3000):
+            d = random_diagram(rng)
+            for i in admissible_moves(d):
+                moves += 1
+                assert _bow_dim(hw_move(d, i)) == _bow_dim(d), (d, i)
+        assert moves == 8667
+
+    def test_an_unfolded_quiver_has_the_higgs_dimension_and_its_dual_the_coulomb(self):
+        quivers = 0
+        for length in range(1, 4):
+            for v in itertools.product(range(4), repeat=length):
+                higgs = sum(a * b for a, b in zip(v, v[1:])) - sum(a * a for a in v)
+                for w in itertools.product(range(4), repeat=length):
+                    quivers += 1
+                    d = quiver_to_diagram(QuiverData(v, w))
+                    assert _bow_dim(d) == 2 * (higgs + sum(a * b for a, b in zip(v, w))), (v, w)
+                    assert _bow_dim(sdual(d)) == 2 * sum(v), (v, w)
+        assert quivers == 4368
