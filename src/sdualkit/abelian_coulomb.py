@@ -22,10 +22,11 @@ A table's box is filtered by the at most rank weights that cut it out.
 The engine works on pairings: since <a_j, lam + mu> = <a_j, lam> + <a_j, mu>,
 the exponents d_j of a product need only the pairing tuples of lam and mu,
 and each cocharacter's tuple is computed once per call. A structure-constant
-table expands each distinct exponent vector once, through a dict local to
-the call (most entries repeat one), and keeps nothing after it returns.
-Products and sums of elements are built without re-validation, since sums
-of annihilating cocharacters annihilate.
+table and multiply expand each distinct exponent vector once, through a dict
+local to the call (most entries repeat one), and keep nothing after it
+returns. Products and sums of elements are built without re-validation,
+since sums of annihilating cocharacters annihilate; multiply works on term
+dicts and wraps each coefficient of its result once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import itertools
 from operator import add, mul
 from typing import Sequence
 
-from . import spaces
+from . import exactalg, spaces
 from .exactalg import (
     LinearForm,
     Polynomial,
@@ -170,7 +171,7 @@ class CoulombElement(Value):
         return not self.support
 
     def _check_same(self, other: "CoulombElement") -> None:
-        if self.theory != other.theory:
+        if self.theory is not other.theory and self.theory != other.theory:
             raise ValueError("elements belong to different theories")
 
     def __add__(self, other: "CoulombElement") -> "CoulombElement":
@@ -221,7 +222,7 @@ class CoulombElement(Value):
         parts = []
         for lam in sorted(self.support):
             coeff = self.support[lam]
-            label = "r[" + ",".join(str(x) for x in lam) + "]"
+            label = "r[" + ",".join(map(str, lam)) + "]"
             if coeff.terms == unit:
                 parts.append(label)
             elif len(coeff.terms) == 1:
@@ -272,18 +273,24 @@ def multiply(theory: TorusTheory, x: CoulombElement, y: CoulombElement) -> Coulo
     ):
         raise ValueError("elements do not belong to the given theory")
     forms, rank = theory.linear_weights, theory.rank
-    right = [(mu, q, _pairings(forms, mu)) for mu, q in y.support.items()]
-    acc: dict[Cochar, Polynomial] = {}
+    right = [(mu, q.terms, _pairings(forms, mu)) for mu, q in y.support.items()]
+    factors: dict[tuple[int, ...], dict] = {}  # each distinct exponent vector expanded once
+    acc: dict[Cochar, dict] = {}
     for lam, p in x.support.items():
         at_lam = _pairings(forms, lam)
         for mu, q, at_mu in right:
             key = tuple(map(add, lam, mu))
             exponents = _exponents(at_lam, at_mu)
-            term = p * q
+            term = exactalg._mul_terms(p.terms, q)
             if any(exponents):  # else the structure constant is 1
-                term = term * eval_product(zip(forms, exponents), rank=rank)
-            acc[key] = acc[key] + term if key in acc else term
-    return CoulombElement._trusted(theory, {key: c for key, c in acc.items() if c.terms})
+                factor = factors.get(exponents)
+                if factor is None:
+                    factor = factors[exponents] = eval_product(zip(forms, exponents), rank).terms
+                term = exactalg._mul_terms(term, factor)
+            acc[key] = exactalg._add_terms(acc[key], term) if key in acc else term
+    return CoulombElement._trusted(
+        theory, {key: Polynomial._trusted(rank, c) for key, c in acc.items() if c}
+    )
 
 
 def reduce_multiplicative(theory: TorusTheory) -> tuple[TorusTheory, tuple[Cochar, ...]]:
@@ -310,12 +317,24 @@ _BRACKET_NAMES = {"torus_cotangent": "T^*(C^x)", "cotangent_of_rep": "C^2"}
 
 
 class RingPresentation(Value):
-    """Generators, a single defining relation, and the variety they present."""
+    """Generators, a single defining relation, and the variety they present:
+    a point, which has neither, or a variety that variety_name names."""
 
     __slots__ = ("variables", "relation", "space")
 
     def __init__(self, variables, relation: Polynomial | None, space: spaces.SpaceDescriptor):
         self.variables = tuple((str(name), strict_int(deg, "degree")) for name, deg in variables)
+        if not isinstance(space, spaces.SpaceDescriptor):
+            raise ValueError(f"space must be a space descriptor, got {space!r}")
+        if space.kind not in ("point", "type_A_singularity", *_BRACKET_NAMES):
+            raise ValueError(f"a presentation names no {space.kind} variety")
+        if space.kind == "point":
+            if relation is not None or self.variables:
+                raise ValueError(
+                    f"the point has no relation or variables, got {relation!r}, {self.variables}"
+                )
+        elif not isinstance(relation, Polynomial):
+            raise ValueError(f"relation must be a polynomial, got {relation!r}")
         self.relation = relation
         self.space = space
 

@@ -207,14 +207,7 @@ class Polynomial(Value):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            total = acc.get(e, 0) + c
-            if total:
-                acc[e] = total
-            else:
-                del acc[e]
-        return Polynomial._trusted(self.rank, acc)
+        return Polynomial._trusted(self.rank, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -274,6 +267,18 @@ class Polynomial(Value):
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """Sum of two clean term dicts, with zero sums dropped; a new dict."""
+    acc = dict(a)
+    for e, c in b.items():
+        total = acc.get(e, 0) + c
+        if total:
+            acc[e] = total
+        else:
+            del acc[e]
+    return acc
 
 
 def _mul_terms(a: dict, b: dict) -> dict:

@@ -171,7 +171,18 @@ def _check_pair(value, attr: str) -> tuple:
     pair = strict_int_tuple(value, attr)
     if len(pair) != 2:
         raise ValueError(f"{attr} must be two integers, got {value!r}")
+    if min(pair) < 0:
+        raise ValueError("rep dimensions must be nonnegative")
     return pair
+
+
+def _at_least(floor: int, message: str):
+    def check(value, attr: str) -> int:
+        if strict_int(value, attr) < floor:
+            raise ValueError(message)
+        return value
+
+    return check
 
 
 # A payload field of a descriptor kind: its slot; its key in the kind's JSON
@@ -181,8 +192,8 @@ def _check_pair(value, attr: str) -> tuple:
 _Field = namedtuple("_Field", "attr key optional check encode decode")
 
 
-def _int_field(attr: str, key: str) -> _Field:
-    return _Field(attr, key, False, strict_int, int, strict_int)
+def _int_field(attr: str, key: str, check=strict_int) -> _Field:
+    return _Field(attr, key, False, check, int, strict_int)
 
 
 _GROUP = _Field("group", "group", False, _instance_of(GroupDescriptor, "a group"),
@@ -190,6 +201,8 @@ _GROUP = _Field("group", "group", False, _instance_of(GroupDescriptor, "a group"
 _PARTITION = _Field("partition", "partition", False, _instance_of(Partition, "a partition"),
                     lambda lam: list(lam.parts), lambda parts, key: Partition(strict_ints(parts, key)))
 _THEORY = _Field("theory", "theory", False, _check_theory, lambda t: t.to_json(), _theory_from_json)
+_INDEX = _int_field("index", "index", _at_least(1, "type A index must be at least 1"))
+_RANK = _int_field("size", "rank", _at_least(0, "torus rank must be nonnegative"))
 _REP_DIMS = _Field("rep_dims", "dims", True, _check_pair, list, strict_ints)
 _FACTORS = _Field("factors", "factors", False, _check_factors, lambda fs: [f.to_json() for f in fs],
                   lambda docs, key: tuple(SpaceDescriptor.from_json(doc) for doc in _list(docs, key)))
@@ -212,7 +225,8 @@ class SpaceDescriptor(Value):
     # __init__ computes every dimension here only: reduced has no rule, its dim
     # being its one payload field. An orbit closure's partition is one of n, and
     # its group gl(n), filled in where a document leaves it out; a
-    # cotangent_of_rep has exactly one of dims / theory.
+    # cotangent_of_rep has exactly one of dims / theory; T*G and G x Slice
+    # have a gl group, and the slice type is a partition of its size.
     KINDS = {
         "point": ("point", (), lambda m: 0),
         "cotangent_of_rep": (
@@ -234,8 +248,8 @@ class SpaceDescriptor(Value):
             (_GROUP._replace(optional=True), _PARTITION, _int_field("size", "n")),
             lambda m: orbit_dim(m.partition),
         ),
-        "type_A_singularity": ("type_a_singularity", (_int_field("index", "index"),), lambda m: 2),
-        "torus_cotangent": ("torus_cotangent", (_int_field("size", "rank"),), lambda m: 2 * m.size),
+        "type_A_singularity": ("type_a_singularity", (_INDEX,), lambda m: 2),
+        "torus_cotangent": ("torus_cotangent", (_RANK,), lambda m: 2 * m.size),
         "product": ("product_space", (_FACTORS,), lambda m: sum(f.dim for f in m.factors)),
         "coulomb_branch": ("coulomb_branch", (_THEORY,), lambda m: 2 * m.theory.rank),
         "reduced": ("reduced", (_int_field("dim", "dim"),), None),
@@ -293,6 +307,11 @@ class SpaceDescriptor(Value):
                 raise ValueError(f"the orbit closure of {partition} has group GL({size}), not {group}")
         elif kind == "cotangent_of_rep" and (rep_dims is None) == (theory is None):
             raise ValueError("exactly one of dims / theory is required")
+        elif kind in ("cotangent_of_group", "group_times_slice"):
+            if group.kind != "gl":
+                raise ValueError(f"a {kind} space has a gl group, not {group}")
+            if partition is not None and partition.n != group.size:
+                raise ValueError(f"slice type {partition} is not a partition of {group.size}")
         self.group, self.partition, self.size, self.index, self.rep_dims, self.theory, self.factors = (
             payload.values()
         )
@@ -354,13 +373,11 @@ class SpaceDescriptor(Value):
         if group.kind != "gl":
             raise ValueError("group_times_slice supports torus and gl groups")
         lam = partition if isinstance(partition, Partition) else Partition(partition)
-        if lam.n != group.size:
-            raise ValueError(f"slice type {lam} is not a partition of {group.size}")
         left = left_group if left_group is not None else group
-        if (left.is_trivial or right_group.is_trivial) and len(lam) == group.size:
-            # The slice through the zero nilpotent is all of gl_n.
+        if (left.is_trivial or right_group.is_trivial) and len(lam) == group.size and lam.parts[0] == 1:
+            # The slice through the zero nilpotent, of type 1^n, is all of gl_n.
             return cls.cotangent_of_group(group, left_group=left, right_group=right_group)
-        return cls(
+        return cls(  # which checks that lam is a partition of n
             "group_times_slice", left_group=left, right_group=right_group, group=group, partition=lam
         )
 
@@ -389,8 +406,6 @@ class SpaceDescriptor(Value):
         left_group: GroupDescriptor = _TRIVIAL,
         right_group: GroupDescriptor = _TRIVIAL,
     ) -> "SpaceDescriptor":
-        if strict_int(index, "type A index") < 1:
-            raise ValueError("type A index must be at least 1")
         return cls("type_A_singularity", left_group=left_group, right_group=right_group, index=index)
 
     @classmethod

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sdualkit import abelian_coulomb
 from sdualkit.abelian_coulomb import (
     CoulombElement,
+    RingPresentation,
     TorusTheory,
     annihilating_cochars,
     multiply,
@@ -264,6 +265,24 @@ class TestPresentation:
 
     def test_point(self):
         assert str(present_rank1(TorusTheory(1, [], [[1]]))) == "point"
+
+    def test_the_raw_constructor_checks_space_and_relation(self):
+        # Unchecked, the first made str() raise AttributeError and the second render "x*y = None".
+        variables = (("w", 2), ("x", 2), ("y", 2))
+        with pytest.raises(ValueError, match="^space must be a space descriptor, got None$"):
+            RingPresentation((), None, None)
+        with pytest.raises(ValueError, match="^relation must be a polynomial, got None$"):
+            RingPresentation(variables, None, SpaceDescriptor.type_a_singularity(1))
+        with pytest.raises(ValueError, match="^the point has no relation or variables, got Polynomial"):
+            RingPresentation((), Polynomial.constant(1, 1), SpaceDescriptor.point())
+        with pytest.raises(ValueError, match=r"^the point has no relation or variables, got None, \(\('w', 2\), "):
+            RingPresentation(variables, None, SpaceDescriptor.point())  # str() and to_json() dropped them
+        with pytest.raises(ValueError, match="^a presentation names no coulomb_branch variety$"):
+            RingPresentation(variables, Polynomial.constant(2, 1), sdual_torus(TorusTheory(2, [[1, 1]])))
+        # Each variety present_rank1 builds passes, the point with no relation.
+        for weights, mult in (([], [[1]]), ([], []), ([[1]], []), ([[1], [1]], [])):
+            p = present_rank1(TorusTheory(1, weights, mult))
+            assert RingPresentation(p.variables, p.relation, p.space) == p
 
     def test_rank_too_high(self):
         message = "effective rank 2: only rank-one presentations are supported; use --table"

@@ -42,6 +42,7 @@ from sdualkit.abelian_coulomb import (
     structure_factor,
 )
 from sdualkit.brane import QuiverData, admissible_moves, hw_move, quiver_to_diagram, sdual
+from sdualkit.exactalg import Polynomial
 from sdualkit.partitions import partitions_of
 from sdualkit.spaces import GroupDescriptor, SpaceDescriptor
 from sdualkit.verify import random_diagram
@@ -107,6 +108,20 @@ def _element_image(element, weights, ws):
     }
 
 
+def _degree_one(rng, rank, constant):
+    """A polynomial of degree one with every variable, and a constant term if
+    ``constant`` or in rank one, so with at least two terms."""
+    exps = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    if constant or rank == 1:
+        exps.append((0,) * rank)
+    return Polynomial(rank, {e: rng.choice([-2, -1, 1, 2]) for e in exps})
+
+
+def _frozen(element):
+    """A copy of an element's support and of each coefficient's term dict."""
+    return {lam: dict(c.terms) for lam, c in element.support.items()}
+
+
 class TestAbelianization:
     def test_rank_one_tables(self):
         rng = random.Random("oracles:abelian:1")
@@ -148,24 +163,40 @@ class TestAbelianization:
                     _check_entry(weights, lam, mu, structure_factor(t, lam, mu), ws)
 
     def test_products_of_elements(self):
-        # Images multiply: this covers multiply, + and - and integer coefficients.
+        # Images multiply: this covers multiply, + and - and integer coefficients,
+        # and, scaled by polynomials of degree one, coefficients of several terms:
+        # inhomogeneous ones (f) and, in rank two or more, homogeneous ones (g).
+        # Under the weight [1], r[1] r[0] = r[1] = r[0] r[1] and r[1] r[-1] = w r[0] =
+        # r[-1] r[1], so in the first two cases the two pairs landing on r[1], then on
+        # r[0], cancel; in the first each pair's term is an operand's own coefficient.
+        t = TorusTheory(1, [[1]])
+        one, up, down = (t.monomial((k,)) for k in (0, 1, -1))
+        cases = [(t, one + up, one - up), (t, up + down, up - down)]
         rng = random.Random("oracles:abelian:elements")
+        scale = random.Random("oracles:abelian:elements:scale")
         for _ in range(20):
             rank = rng.randint(1, 3)
-            weights = _random_weights(rng, rank)
-            t = TorusTheory(rank, weights)
-            ws = _symbols(rank)
+            t = TorusTheory(rank, _random_weights(rng, rank))
             x, y = t.zero(), t.zero()
             for _ in range(3):
                 x = x + t.monomial(tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(-3, 3))
                 y = y - t.monomial(tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(-3, 3))
+            f, g = _degree_one(scale, rank, constant=True), _degree_one(scale, rank, constant=False)
+            cases += [(t, x, y), (t, x * f, y * g)]
+        products = []
+        for t, x, y in cases:
+            weights, ws = [a.coeffs for a in t.linear_weights], _symbols(t.rank)
             expected = {}
             for lam, p in _element_image(x, weights, ws).items():
                 for mu, q in _element_image(y, weights, ws).items():
                     nu = tuple(a + b for a, b in zip(lam, mu))
                     expected[nu] = expected.get(nu, sympy.Poly(0, *ws)) + p * q
             expected = {nu: p for nu, p in expected.items() if not p.is_zero}
-            assert _element_image(multiply(t, x, y), weights, ws) == expected, (weights, str(x), str(y))
+            before = [_frozen(x), _frozen(y)]
+            products.append(multiply(t, x, y))
+            assert _element_image(products[-1], weights, ws) == expected, (weights, str(x), str(y))
+            assert [_frozen(x), _frozen(y)] == before  # a product may share an operand's terms
+        assert [sorted(xy.support) for xy in products[:2]] == [[(0,), (2,)], [(-2,), (2,)]]
 
 
 ORDER = 40

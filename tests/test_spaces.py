@@ -264,6 +264,28 @@ class TestDescriptorConstruction:
         with pytest.raises(ValueError, match=re.escape("[2,1] is not a partition of 4")):
             SpaceDescriptor("orbit_closure", 4, partition=Partition([2, 1]), size=4)
 
+    @pytest.mark.parametrize(
+        "slots, doc, message",
+        [
+            ({"kind": "torus_cotangent", "size": -1}, {"rank": -1}, "torus rank must be nonnegative"),
+            ({"kind": "cotangent_of_rep", "rep_dims": (-1, 2)}, {"dims": [-1, 2]},
+             "rep dimensions must be nonnegative"),
+            ({"kind": "type_A_singularity", "index": 0}, {"index": 0}, "type A index must be at least 1"),
+            ({"kind": "group_times_slice", "group": GroupDescriptor.gl(3), "partition": Partition((2,))},
+             {"group": {"kind": "gl", "n": 3}, "partition": [2]}, "slice type [2] is not a partition of 3"),
+            ({"kind": "cotangent_of_group", "group": GroupDescriptor.product([GroupDescriptor.gl(1)] * 2)},
+             {"group": {"kind": "product", "factors": [{"kind": "gl", "n": 1}] * 2}},
+             "a cotangent_of_group space has a gl group, not GL(1) x GL(1)"),
+        ],
+        ids=["negative-rank", "negative-rep-dim", "index-zero", "slice-of-another-size", "product-group"],
+    )
+    def test_the_raw_constructor_refuses_what_from_json_refuses(self, slots, doc, message):
+        # Unrefused, each would build, some with a negative dim, and from_json refuse its document.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SpaceDescriptor(**slots)
+        with pytest.raises(ValueError):
+            SpaceDescriptor.from_json({"kind": slots["kind"], **doc})
+
     def test_the_raw_constructor_takes_exactly_one_of_rep_dims_and_theory(self):
         # Unrefused, neither would make str() raise AttributeError and sdual_pair TypeError.
         theory = TorusTheory(1, [[1]])
@@ -316,6 +338,9 @@ class TestDescriptorConstruction:
             for left, right in ((g, one), (one, g)):
                 d = SpaceDescriptor.group_times_slice(g, [1] * n, left, right)
                 assert d == SpaceDescriptor.cotangent_of_group(g, left, right)
+                # n parts of another sum are no zero slice, but a slice type of another size
+                with pytest.raises(ValueError, match=re.escape(f"slice type [2{',1' * (n - 1)}] is not")):
+                    SpaceDescriptor.group_times_slice(g, [2] + [1] * (n - 1), left, right)
 
     def test_zero_orbit_is_point(self):
         d = SpaceDescriptor.orbit_closure(3, [1, 1, 1])
